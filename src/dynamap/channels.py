@@ -25,11 +25,7 @@ def unitary_map(u) -> LinearMap:
 
 def transpose_map(dim: int = 2) -> LinearMap:
     """The map ``rho -> rho^T``; its Choi matrix is the swap operator."""
-    t = np.zeros((dim,) * 4, dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            t[i, j, j, i] = 1.0
-    return LinearMap(t.reshape(dim * dim, dim * dim))
+    return LinearMap(swap_gate(dim))
 
 
 def depolarizing_map(p: float, dim: int = 2) -> LinearMap:

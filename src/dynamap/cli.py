@@ -11,7 +11,10 @@ Exit codes: 0 success, 1 invalid input, 2 numerical precondition failure,
 """
 
 import argparse
+import ctypes
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .docio import DocumentError, canonical_json, encode_matrix, parse_document
 from .entangled import extension_witness, induced_dynamics
 from .errors import (
     DynamapError,
-    NonHermitianChoi,
     NotCompleteKraus,
     NotTracePreserving,
 )
@@ -35,6 +37,7 @@ from .maps import (
     check_tp,
     choi_eigenvalues,
     map_to_kraus,
+    require_hermiticity_preserving,
 )
 
 EXIT_OK = 0
@@ -64,9 +67,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--variant", choices=("literal", "symmetric"), default="literal",
                         help="extension construction used where applicable")
     common.add_argument("--samples", type=int, default=20,
-                        help="number of sampled states for randomized checks")
+                        help="number of sampled states for randomized checks (at least 1)")
     common.add_argument("--seed", type=int, default=None,
-                        help="seed for sampled states (overrides the document seed)")
+                        help="nonnegative seed for sampled states (overrides the document seed)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func in (
         ("decompose", cmd_decompose),
@@ -167,14 +170,13 @@ def _decomposition_sections(split, tol, seed, samples) -> dict:
     ann = verify_annihilation(split, tol, samples=samples, seed=seed)
     tf = trace_functionals(split, samples=samples, seed=seed, tol=tol)
     dims = dimension_report(split)
-    j_eigs = np.linalg.eigvalsh(split.plus_functional)
     return {
         "split": {
             "l_plus": split.n_positive,
             "l_minus": split.n_negative,
             "plus_functional": encode_matrix(split.plus_functional),
             "minus_functional": encode_matrix(split.minus_functional),
-            "plus_functional_min_eig": float(j_eigs[0]),
+            "plus_functional_min_eig": float(split.plus_eigenvalues[0]),
             "minus_functional_rank": split.support_basis.shape[1],
             "kernel_dim": split.kernel_basis.shape[1],
         },
@@ -264,9 +266,7 @@ def cmd_dilate(args) -> int:
     doc, tol, seed = _resolve(args)
     _require_map_document(doc, "dilate")
     m = doc.linear_map
-    hp_ok, hp_res = check_hermiticity_preserving(m, tol)
-    if not hp_ok:
-        raise NonHermitianChoi(f"Choi Hermiticity residual {hp_res:.3e} exceeds tolerance")
+    require_hermiticity_preserving(m, tol)
     tp_ok, tp_res = check_tp(m, tol)
     if not tp_ok:
         raise NotTracePreserving(f"trace-preservation residual {tp_res:.3e} exceeds tolerance")
@@ -350,6 +350,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.samples < 1:
+            parser.error(f"argument --samples: must be at least 1, got {args.samples}")
+        if args.seed is not None and args.seed < 0:
+            parser.error(f"argument --seed: must be nonnegative, got {args.seed}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -362,5 +366,18 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
 
 
+def _one_blas_thread():
+    """Run the OpenBLAS that numpy wheels bundle on one thread unless the
+    environment sets a count: at these sizes a second thread saves nothing,
+    and its spin-waits slow every solve whenever other work shares the cores."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
+        return
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter(1)
+
+
 def run():
+    _one_blas_thread()
     raise SystemExit(main())

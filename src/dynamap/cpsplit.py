@@ -12,7 +12,8 @@ traces of the parts:
     Tr[negative_part(X)] = Tr[minus_functional @ X]
 
 with closed forms ``plus_functional = sum_i lambda_i L_i^dag L_i`` over the
-positive eigenpairs and likewise (absolute values) for the minus side.  For
+positive eigenpairs and likewise (absolute values) for the minus side; each
+is the transposed output partial trace of its part's Choi matrix.  For
 a trace-preserving map ``plus_functional - minus_functional = 1``, which
 forces ``plus_functional`` to be positive definite while
 ``minus_functional`` stays PSD and may be singular.
@@ -28,18 +29,27 @@ numerically and ``trace_functionals`` measures the trace identities.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NonHermitianChoi, NotTracePreserving, SingularJ
-from .linalg import DEFAULT_TOL, ToleranceConfig, frob, hermitian_eig
+from .errors import NotTracePreserving, SingularJ
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    frob,
+    partial_trace,
+    spectral_power,
+    zero_cut,
+)
 from .maps import (
     KrausSet,
     LinearMap,
     apply_map,
-    check_hermiticity_preserving,
     check_tp,
-    kraus_to_map,
+    require_hermiticity_preserving,
+    sign_split,
+    weighted_choi,
 )
 from .generators import random_complex, random_density_matrix
 
@@ -48,9 +58,15 @@ from .generators import random_complex, random_density_matrix
 class CPSplit:
     """The sign-split of a map together with its trace-functional data.
 
-    ``kernel_basis`` and ``support_basis`` hold orthonormal column vectors
-    spanning the kernel and the range of ``minus_functional``;
-    ``minus_pinv @ minus_functional == support_projector`` within tolerance.
+    ``plus_eigenvalues`` (ascending) and ``plus_eigenvectors`` are the
+    eigensystem of ``plus_functional``.  ``kernel_basis`` and
+    ``support_basis`` hold orthonormal column vectors spanning the kernel
+    and the range of ``minus_functional``; ``minus_pinv @ minus_functional ==
+    support_projector`` within tolerance, and ``minus_sqrt`` and
+    ``minus_pinv_sqrt`` are the square roots of ``minus_functional`` and of
+    ``minus_pinv``.  ``plus_inv``, ``plus_sqrt`` and ``plus_inv_sqrt`` are
+    the powers -1, 1/2 and -1/2 of ``plus_functional``, each computed once,
+    on first use; they raise :class:`SingularJ` when it is singular.
     """
 
     source: LinearMap
@@ -60,7 +76,11 @@ class CPSplit:
     negative_kraus: KrausSet
     plus_functional: np.ndarray
     minus_functional: np.ndarray
+    plus_eigenvalues: np.ndarray
+    plus_eigenvectors: np.ndarray
     minus_pinv: np.ndarray
+    minus_sqrt: np.ndarray
+    minus_pinv_sqrt: np.ndarray
     support_projector: np.ndarray
     kernel_basis: np.ndarray
     support_basis: np.ndarray
@@ -75,6 +95,16 @@ class CPSplit:
     @property
     def has_negative_part(self) -> bool:
         return self.n_negative > 0
+
+    def _plus_power(self, power: float) -> np.ndarray:
+        w = self.plus_eigenvalues
+        if w[0] <= self.tol.zero_eig_rel * max(1.0, w[-1]):
+            raise SingularJ(f"plus functional min eigenvalue {w[0]:.3e}")
+        return spectral_power(w, self.plus_eigenvectors, power)
+
+    plus_inv = cached_property(lambda self: self._plus_power(-1.0))
+    plus_sqrt = cached_property(lambda self: self._plus_power(0.5))
+    plus_inv_sqrt = cached_property(lambda self: self._plus_power(-0.5))
 
 
 @dataclass(frozen=True)
@@ -121,14 +151,11 @@ def cp_split(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> CPSplit:
     Raises :class:`NonHermitianChoi` or :class:`NotTracePreserving` when the
     preconditions fail.
     """
-    ok, res = check_hermiticity_preserving(m, tol)
-    if not ok:
-        raise NonHermitianChoi(f"Choi Hermiticity residual {res:.3e} exceeds tolerance")
+    require_hermiticity_preserving(m, tol)
     ok, res = check_tp(m, tol)
     if not ok:
         raise NotTracePreserving(f"trace-preservation residual {res:.3e} exceeds tolerance")
-    values, vectors = hermitian_eig(m.choi, tol)
-    return split_from_eigensystem(m, values, vectors, tol)
+    return split_from_eigensystem(m, *m.eigensystem, tol)
 
 
 def split_from_eigensystem(
@@ -141,42 +168,20 @@ def split_from_eigensystem(
     must lead to a split with identical action.
     """
     n = m.dim
-    values = np.asarray(values, dtype=float)
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    thr = tol.zero_eig_rel * scale
-
-    pos_ops, pos_w, neg_ops, neg_w = [], [], [], []
-    for lam, vec in zip(values, np.asarray(vectors, dtype=complex).T):
-        if lam > thr:
-            pos_ops.append(vec.reshape(n, n))
-            pos_w.append(lam)
-        elif lam < -thr:
-            neg_ops.append(vec.reshape(n, n))
-            neg_w.append(-lam)
-
-    positive_kraus = KrausSet(pos_ops, pos_w or None)
-    negative_kraus = KrausSet(neg_ops, neg_w or None)
-    positive_part = kraus_to_map(positive_kraus) if pos_ops else LinearMap(
-        np.zeros((n * n, n * n), dtype=complex)
+    positive_kraus, negative_kraus = sign_split(values, vectors, n, tol)
+    positive_part, negative_part = (
+        LinearMap(weighted_choi(k.operators, k.weights, n)) for k in (positive_kraus, negative_kraus)
     )
-    negative_part = kraus_to_map(negative_kraus) if neg_ops else LinearMap(
-        np.zeros((n * n, n * n), dtype=complex)
+    # Tr[part(X)] = Tr[F X] makes F the transposed output partial trace
+    plus_functional, minus_functional = (
+        partial_trace(part.choi, (n, n), "a").T for part in (positive_part, negative_part)
     )
 
-    plus_functional = np.zeros((n, n), dtype=complex)
-    for w, op in zip(positive_kraus.weights if pos_ops else [], pos_ops):
-        plus_functional += w * (op.conj().T @ op)
-    minus_functional = np.zeros((n, n), dtype=complex)
-    for w, op in zip(negative_kraus.weights if neg_ops else [], neg_ops):
-        minus_functional += w * (op.conj().T @ op)
-
+    j_vals, j_vecs = np.linalg.eigh(plus_functional)
     k_vals, k_vecs = np.linalg.eigh(minus_functional)
-    k_scale = float(np.max(np.abs(k_vals))) if k_vals.size else 0.0
-    keep = k_vals > tol.zero_eig_rel * k_scale
+    keep = k_vals > zero_cut(k_vals, tol)
     support_basis = k_vecs[:, keep]
-    kernel_basis = k_vecs[:, ~keep]
-    minus_pinv = (support_basis / k_vals[keep]) @ support_basis.conj().T
-    support_projector = support_basis @ support_basis.conj().T
+    support_vals = k_vals[keep]
 
     return CPSplit(
         source=m,
@@ -186,12 +191,16 @@ def split_from_eigensystem(
         negative_kraus=negative_kraus,
         plus_functional=plus_functional,
         minus_functional=minus_functional,
-        minus_pinv=minus_pinv,
-        support_projector=support_projector,
-        kernel_basis=kernel_basis,
+        plus_eigenvalues=j_vals,
+        plus_eigenvectors=j_vecs,
+        minus_pinv=spectral_power(support_vals, support_basis, -1.0),
+        minus_sqrt=spectral_power(support_vals, support_basis, 0.5),
+        minus_pinv_sqrt=spectral_power(support_vals, support_basis, -0.5),
+        support_projector=spectral_power(support_vals, support_basis, 0.0),
+        kernel_basis=k_vecs[:, ~keep],
         support_basis=support_basis,
-        n_positive=len(pos_ops),
-        n_negative=len(neg_ops),
+        n_positive=len(positive_kraus),
+        n_negative=len(negative_kraus),
         tol=tol,
     )
 
@@ -261,10 +270,7 @@ def trace_functionals(
     Raises :class:`SingularJ` when the plus functional is numerically
     singular, which cannot happen for a trace-preserving source.
     """
-    j_vals = np.linalg.eigvalsh(split.plus_functional)
-    if j_vals[0] <= split.tol.zero_eig_rel * max(1.0, j_vals[-1]):
-        raise SingularJ(f"plus functional min eigenvalue {j_vals[0]:.3e}")
-    j_inv = np.linalg.inv(split.plus_functional)
+    j_inv = split.plus_inv
 
     rng = np.random.default_rng(seed)
     plus_res = minus_res = plus_inv_res = minus_sup_res = 0.0

@@ -12,9 +12,9 @@ Input documents are JSON objects with a ``kind`` discriminator:
   (amplitude vector) and optionally ``unitary`` (joint matrix).
 
 Every complex scalar is encoded as a two-element array ``[re, im]``; no
-string forms are accepted.  Documents may carry an optional integer
-``seed`` and an optional ``tolerances`` object overriding ``zero_eig_rel``
-and ``residual_abs``.
+string forms are accepted.  Documents may carry an optional nonnegative
+integer ``seed`` and an optional ``tolerances`` object overriding
+``zero_eig_rel`` and ``residual_abs``.
 
 Reports are serialized by :func:`canonical_json`: keys sorted, no
 whitespace, floats rendered with 17 significant digits.  Identical inputs,
@@ -137,8 +137,8 @@ def parse_document(raw: bytes) -> ParsedDocument:
         raise DocumentError("$.kind", f"kind must be one of {ALL_KINDS}, got {kind!r}")
 
     seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise DocumentError("$.seed", "seed must be an integer")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        raise DocumentError("$.seed", f"seed must be a nonnegative integer, got {seed!r}")
     tol = _parse_tolerances(doc.get("tolerances"), "$.tolerances")
 
     if kind == "joint_dynamics":
@@ -198,11 +198,6 @@ def encode_matrix(m) -> list:
     """Encode a complex matrix as nested [re, im] pairs."""
     m = np.asarray(m, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def encode_vector(v) -> list:
-    v = np.asarray(v, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in v]
 
 
 def _format_float(x: float) -> str:

@@ -34,16 +34,16 @@ scalar.  Both variants reconstruct the source map; ``sector_choi_report``
 measures what each one satisfies instead of asserting it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cpsplit import CPSplit
-from .errors import DimensionMismatch, SingularJ
+from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_complex_matrix, frob, kron
 from .maps import (
     DensityMatrix,
-    LinearMap,
     a_form,
     apply_map,
     check_hermiticity_preserving,
@@ -104,30 +104,6 @@ def _check_state(split: CPSplit, rho) -> np.ndarray:
     return rho
 
 
-def _plus_eigensystem(split: CPSplit):
-    w, v = np.linalg.eigh(split.plus_functional)
-    if w[0] <= split.tol.zero_eig_rel * max(1.0, w[-1]):
-        raise SingularJ(f"plus functional min eigenvalue {w[0]:.3e}")
-    return w, v
-
-
-def _plus_power(split: CPSplit, power: float) -> np.ndarray:
-    w, v = _plus_eigensystem(split)
-    return (v * w ** power) @ v.conj().T
-
-
-def _minus_sqrt(split: CPSplit) -> np.ndarray:
-    w, v = np.linalg.eigh(split.minus_functional)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def _minus_pinv_sqrt(split: CPSplit) -> np.ndarray:
-    k_vals = (
-        split.support_basis.conj().T @ split.minus_functional @ split.support_basis
-    ).diagonal().real
-    return (split.support_basis / np.sqrt(k_vals)) @ split.support_basis.conj().T
-
-
 def build_extension(split: CPSplit, rho, variant: str = "literal") -> ExtendedState:
     """Extend a state into the two signed blocks for the given variant."""
     rho = _check_state(split, rho)
@@ -135,11 +111,9 @@ def build_extension(split: CPSplit, rho, variant: str = "literal") -> ExtendedSt
         plus = split.plus_functional @ rho
         minus = -(split.minus_functional @ rho) if split.has_negative_part else None
     elif variant == "symmetric":
-        j_sqrt = _plus_power(split, 0.5)
-        plus = j_sqrt @ rho @ j_sqrt
+        plus = split.plus_sqrt @ rho @ split.plus_sqrt
         if split.has_negative_part:
-            k_sqrt = _minus_sqrt(split)
-            minus = -(k_sqrt @ rho @ k_sqrt)
+            minus = -(split.minus_sqrt @ rho @ split.minus_sqrt)
         else:
             minus = None
     else:
@@ -156,20 +130,17 @@ def apply_sector_map(split: CPSplit, state: ExtendedState, variant: str = "liter
     if state.dim != split.dim:
         raise DimensionMismatch(f"state dim {state.dim} does not match split dim {split.dim}")
     if variant == "literal":
-        j_inv = _plus_power(split, -1.0)
-        plus = apply_map(split.positive_part, j_inv @ state.plus_block)
+        plus = apply_map(split.positive_part, split.plus_inv @ state.plus_block)
         minus = None
         if state.has_minus:
             minus = apply_map(split.negative_part, split.minus_pinv @ state.minus_block)
     elif variant == "symmetric":
-        j_inv_sqrt = _plus_power(split, -0.5)
-        plus = apply_map(split.positive_part, j_inv_sqrt @ state.plus_block @ j_inv_sqrt)
+        j_is = split.plus_inv_sqrt
+        plus = apply_map(split.positive_part, j_is @ state.plus_block @ j_is)
         minus = None
         if state.has_minus:
-            k_pinv_sqrt = _minus_pinv_sqrt(split)
-            minus = apply_map(
-                split.negative_part, k_pinv_sqrt @ state.minus_block @ k_pinv_sqrt
-            )
+            k_ps = split.minus_pinv_sqrt
+            minus = apply_map(split.negative_part, k_ps @ state.minus_block @ k_ps)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return ExtendedState(dim=split.dim, plus_block=plus, minus_block=minus)
@@ -195,12 +166,11 @@ def _sector_a_forms(split: CPSplit, variant: str):
     a_plus_part = a_form(split.positive_part)
     a_minus_part = a_form(split.negative_part)
     if variant == "literal":
-        a_plus = a_plus_part @ kron(_plus_power(split, -1.0), eye)
+        a_plus = a_plus_part @ kron(split.plus_inv, eye)
         a_minus = a_minus_part @ kron(split.minus_pinv, eye)
     elif variant == "symmetric":
-        j_is = _plus_power(split, -0.5)
+        j_is, k_ps = split.plus_inv_sqrt, split.minus_pinv_sqrt
         a_plus = a_plus_part @ kron(j_is, j_is.T)
-        k_ps = _minus_pinv_sqrt(split)
         a_minus = a_minus_part @ kron(k_ps, k_ps.T)
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -211,7 +181,12 @@ def _sector_a_forms(split: CPSplit, variant: str):
 class SectorChoiReport:
     """Hermiticity residual and minimum eigenvalue of the sector-map Choi
     matrices; ``min_eig`` entries are ``None`` when the Choi matrix is not
-    Hermitian within tolerance (no spectral claim is meaningful then)."""
+    Hermitian within tolerance (no spectral claim is meaningful then).
+
+    The ``full_*`` fields describe the map on the extended space, sector
+    maps on the diagonal blocks and zero on the cross blocks.  Its Choi
+    matrix is the direct sum of the sector Choi matrices padded with zeros,
+    so they follow from the sector statistics without building it."""
 
     variant: str
     plus_hermiticity_residual: float
@@ -223,52 +198,33 @@ class SectorChoiReport:
     full_min_eig: float | None
 
 
-def _choi_stats(m: LinearMap, tol: ToleranceConfig):
-    ok, res = check_hermiticity_preserving(m, tol)
-    if not ok:
-        return res, None
-    return res, float(np.linalg.eigvalsh(m.choi)[0])
-
-
-def _assemble_block_diagonal(split: CPSplit, a_plus, a_minus) -> LinearMap:
-    """Full map on the extended space: sector maps on the diagonal blocks,
-    zero on cross blocks.  Block label is the slow index."""
-    n = split.dim
-    sectors = 2 if split.has_negative_part else 1
-    full = sectors * n
-    plus_map = from_a_form(a_plus)
-    minus_map = from_a_form(a_minus) if sectors == 2 else None
-    choi4 = np.zeros((full, full, full, full), dtype=complex)
-    for a in range(sectors):
-        sector = plus_map if a == 0 else minus_map
-        for r in range(n):
-            for s in range(n):
-                unit = np.zeros((n, n), dtype=complex)
-                unit[r, s] = 1.0
-                out = apply_map(sector, unit)
-                choi4[a * n:(a + 1) * n, a * n + r, a * n:(a + 1) * n, a * n + s] = out
-    return LinearMap(choi4.reshape(full * full, full * full))
-
-
 def sector_choi_report(
     split: CPSplit, variant: str, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SectorChoiReport:
     """Measure Hermiticity and positivity of the sector maps for a variant."""
-    a_plus, a_minus = _sector_a_forms(split, variant)
-    plus_res, plus_min = _choi_stats(from_a_form(a_plus), tol)
-    if split.has_negative_part:
-        minus_res, minus_min = _choi_stats(from_a_form(a_minus), tol)
-    else:
-        minus_res, minus_min = None, None
-    full_map = _assemble_block_diagonal(split, a_plus, a_minus)
-    full_res, full_min = _choi_stats(full_map, tol)
+    a_forms = _sector_a_forms(split, variant)
+    sectors = [from_a_form(a) for a in a_forms[: 2 if split.has_negative_part else 1]]
+    oks, residuals = zip(*(check_hermiticity_preserving(m, tol) for m in sectors))
+    full_res = math.hypot(*residuals)
+    full_ok = full_res <= tol.residual_abs * max(1.0, math.hypot(*(frob(m.choi) for m in sectors)))
+    # the eigensolver reads one triangle, so a sector that fails its own
+    # Hermiticity verdict still has a spectrum inside a Hermitian full Choi
+    min_eigs = [
+        float(m.eigensystem[0][-1]) if ok or full_ok else None for m, ok in zip(sectors, oks)
+    ]
+    full_min = None
+    if full_ok:
+        # two sectors leave zero rows and columns in the padded full Choi
+        full_min = min(min_eigs + [0.0]) if len(sectors) == 2 else min_eigs[0]
+    stats = [(res, eig if ok else None) for ok, res, eig in zip(oks, residuals, min_eigs)]
+    (plus_res, plus_min), (minus_res, minus_min) = stats + [(None, None)] * (2 - len(stats))
     return SectorChoiReport(
         variant=variant,
         plus_hermiticity_residual=plus_res,
         plus_min_eig=plus_min,
         minus_hermiticity_residual=minus_res,
         minus_min_eig=minus_min,
-        full_dim=full_map.dim,
+        full_dim=len(sectors) * split.dim,
         full_hermiticity_residual=full_res,
         full_min_eig=full_min,
     )

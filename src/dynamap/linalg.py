@@ -78,9 +78,8 @@ def hermitian_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
     Raises :class:`NonHermitianInput` when the input fails the Hermiticity
     residual bound and :class:`DimensionMismatch` when it is not square.
     """
-    m = _require_hermitian(m, tol)
-    values, vectors = np.linalg.eigh(m)
-    return values[::-1].astype(float), vectors[:, ::-1]
+    values, vectors = np.linalg.eigh(_require_hermitian(m, tol))
+    return values[::-1], vectors[:, ::-1]
 
 
 def partial_trace(m, dims: tuple[int, int], which: str) -> np.ndarray:
@@ -110,37 +109,50 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
+def zero_cut(values, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Magnitude at or below which an eigenvalue of the spectrum ``values``
+    counts as zero: ``zero_eig_rel * max|values|``, so every rank and sign
+    decision is scale invariant."""
+    values = np.asarray(values)
+    return tol.zero_eig_rel * float(np.max(np.abs(values))) if values.size else 0.0
+
+
+def spectral_power(values, vectors, power: float) -> np.ndarray:
+    """``sum_i values[i]**power v_i v_i^dag`` over the given eigenpairs.
+
+    ``vectors`` holds the orthonormal eigenvectors as columns; pass only the
+    eigenpairs to keep (a pseudo-inverse or a clamped root drops the rest).
+    """
+    return (vectors * np.asarray(values, dtype=float) ** power) @ vectors.conj().T
+
+
+def _psd_support(m, tol: ToleranceConfig):
+    """Eigenpairs of a PSD matrix above the zero cut; raises :class:`NotPSD`
+    for an eigenvalue below minus the cut."""
+    values, vectors = hermitian_eig(m, tol)
+    cut = zero_cut(values, tol)
+    if values.size and values[-1] < -cut:
+        raise NotPSD(f"eigenvalue {values[-1]:.3e} below PSD threshold")
+    keep = values > cut
+    return values[keep], vectors[:, keep]
+
+
 def psd_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues within the zero threshold of zero are clamped to zero;
-    eigenvalues below ``-zero_eig_rel * max|eig|`` raise :class:`NotPSD`.
+    Eigenvalues within the zero cut (:func:`zero_cut`) are clamped to zero;
+    eigenvalues below minus the cut raise :class:`NotPSD`.
     """
-    m = _require_hermitian(m, tol)
-    values, vectors = np.linalg.eigh(m)
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    if values.size and values[0] < -tol.zero_eig_rel * scale:
-        raise NotPSD(f"eigenvalue {values[0]:.3e} below PSD threshold")
-    clamped = np.clip(values, 0.0, None)
-    return (vectors * np.sqrt(clamped)) @ vectors.conj().T
+    return spectral_power(*_psd_support(m, tol), 0.5)
 
 
 def thresholded_pinv(m, tol: ToleranceConfig = DEFAULT_TOL):
     """Spectral pseudo-inverse and support projector of a PSD matrix.
 
-    Eigenvalues above ``zero_eig_rel * max(eig)`` are inverted; the rest are
-    treated as exact zeros.  Returns ``(pinv, support)`` where ``support`` is
-    the orthogonal projector onto the retained eigenspace, so that
-    ``pinv @ m == support`` up to the residual tolerance.
+    Eigenvalues above the zero cut (:func:`zero_cut`) are inverted; the rest
+    are treated as exact zeros.  Returns ``(pinv, support)`` where
+    ``support`` is the orthogonal projector onto the retained eigenspace, so
+    that ``pinv @ m == support`` up to the residual tolerance.
     """
-    m = _require_hermitian(m, tol)
-    values, vectors = np.linalg.eigh(m)
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    if values.size and values[0] < -tol.zero_eig_rel * scale:
-        raise NotPSD(f"eigenvalue {values[0]:.3e} below PSD threshold")
-    keep = values > tol.zero_eig_rel * scale
-    v = vectors[:, keep]
-    inv_vals = 1.0 / values[keep]
-    pinv = (v * inv_vals) @ v.conj().T
-    support = v @ v.conj().T
-    return pinv, support
+    values, vectors = _psd_support(m, tol)
+    return spectral_power(values, vectors, -1.0), spectral_power(values, vectors, 0.0)

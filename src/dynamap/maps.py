@@ -28,8 +28,8 @@ from .linalg import (
     ToleranceConfig,
     as_complex_matrix,
     frob,
-    hermitian_eig,
     hermiticity_residual,
+    zero_cut,
 )
 
 
@@ -39,20 +39,39 @@ class LinearMap:
     Physicality verdicts (trace preserving, Hermiticity preserving,
     completely positive) are computed on demand by ``check_tp``,
     ``check_hermiticity_preserving`` and ``check_cp`` and cached per
-    tolerance configuration.
+    tolerance configuration; the Choi eigensystem is computed once, on first
+    use.  ``choi`` is a read-only private copy, so neither cache can go
+    stale.
     """
 
     def __init__(self, choi):
-        choi = as_complex_matrix(choi)
+        choi = np.array(as_complex_matrix(choi))
         side = choi.shape[0]
         if choi.shape[0] != choi.shape[1]:
             raise DimensionMismatch(f"Choi matrix must be square, got {choi.shape}")
         dim = round(side ** 0.5)
         if dim * dim != side:
             raise DimensionMismatch(f"Choi side {side} is not a perfect square")
+        choi.flags.writeable = False
         self.dim = dim
         self.choi = choi
         self._verdicts = {}
+        self._eigensystem = None
+
+    @property
+    def eigensystem(self):
+        """``(values, vectors)`` of the Choi matrix, eigenvalues descending
+        and eigenvectors as columns, both read-only.
+
+        Only the lower triangle is read, so callers that need a meaningful
+        spectrum check Hermiticity preservation first.
+        """
+        if self._eigensystem is None:
+            values, vectors = np.linalg.eigh(self.choi)
+            values, vectors = values[::-1], vectors[:, ::-1]
+            values.flags.writeable = vectors.flags.writeable = False
+            self._eigensystem = (values, vectors)
+        return self._eigensystem
 
     @property
     def choi4(self) -> np.ndarray:
@@ -163,6 +182,13 @@ def from_a_form(a) -> LinearMap:
     return LinearMap(_reshuffle(as_complex_matrix(a)))
 
 
+def weighted_choi(operators, weights, dim: int) -> np.ndarray:
+    """``sum_i w_i vec(M_i) vec(M_i)^dag`` as one matrix product; ``dim``
+    fixes the shape when there are no operators."""
+    v = np.reshape(np.asarray(operators, dtype=complex), (len(operators), dim * dim))
+    return (v.T * np.asarray(weights, dtype=float)) @ v.conj()
+
+
 def kraus_to_map(kraus: KrausSet, signs=None) -> LinearMap:
     """Choi matrix of ``rho -> sum_i s_i w_i M_i rho M_i^dag``.
 
@@ -174,45 +200,42 @@ def kraus_to_map(kraus: KrausSet, signs=None) -> LinearMap:
     signs = np.asarray(signs, dtype=float)
     if signs.shape != (len(kraus),):
         raise DimensionMismatch("signs must match the number of operators")
-    n = kraus.dim
-    choi = np.zeros((n * n, n * n), dtype=complex)
-    for s, w, op in zip(signs, kraus.weights, kraus.operators):
-        v = op.reshape(-1)
-        choi += s * w * np.outer(v, v.conj())
-    return LinearMap(choi)
+    return LinearMap(weighted_choi(kraus.operators, signs * kraus.weights, kraus.dim))
 
 
-def map_to_kraus(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
-    """Canonical decomposition of a Hermiticity-preserving map.
+def sign_split(values, vectors, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
+    """Group a Choi eigensystem by sign into ``(positive, negative)`` Kraus sets.
 
-    Eigendecomposes the Choi matrix and returns ``(positive, negative)``
-    Kraus sets: eigenvectors with eigenvalue above the zero threshold become
+    Eigenvectors with eigenvalue above the zero cut become
     Hilbert-Schmidt-orthonormal operators weighted by the eigenvalue, those
-    below minus the threshold are weighted by its absolute value, and
-    eigenvalues within the threshold of zero are discarded from both.
+    below minus the cut are weighted by its absolute value, and eigenvalues
+    within the cut are discarded from both.
     """
+    values = np.asarray(values, dtype=float)
+    ops = np.asarray(vectors, dtype=complex).T.reshape(-1, dim, dim)
+    cut = zero_cut(values, tol)
+    pos, neg = values > cut, values < -cut
+    return KrausSet(list(ops[pos]), values[pos]), KrausSet(list(ops[neg]), -values[neg])
+
+
+def require_hermiticity_preserving(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
+    """Raise :class:`NonHermitianChoi` unless the Choi matrix is Hermitian."""
     ok, res = check_hermiticity_preserving(m, tol)
     if not ok:
         raise NonHermitianChoi(f"Choi Hermiticity residual {res:.3e} exceeds tolerance")
-    values, vectors = hermitian_eig(m.choi, tol)
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    thr = tol.zero_eig_rel * scale
-    n = m.dim
-    pos_ops, pos_w, neg_ops, neg_w = [], [], [], []
-    for lam, vec in zip(values, vectors.T):
-        if lam > thr:
-            pos_ops.append(vec.reshape(n, n))
-            pos_w.append(lam)
-        elif lam < -thr:
-            neg_ops.append(vec.reshape(n, n))
-            neg_w.append(-lam)
-    return KrausSet(pos_ops, pos_w or None), KrausSet(neg_ops, neg_w or None)
+
+
+def map_to_kraus(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
+    """Canonical decomposition of a Hermiticity-preserving map: the
+    :func:`sign_split` of its Choi eigensystem."""
+    require_hermiticity_preserving(m, tol)
+    return sign_split(*m.eigensystem, m.dim, tol)
 
 
 def choi_eigenvalues(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of the Choi matrix, descending."""
-    values, _ = hermitian_eig(m.choi, tol)
-    return values
+    """Eigenvalues of the Choi matrix of a Hermiticity-preserving map, descending."""
+    require_hermiticity_preserving(m, tol)
+    return m.eigensystem[0]
 
 
 def check_tp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
@@ -246,11 +269,7 @@ def check_cp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     """
     key = ("cp", tol)
     if key not in m._verdicts:
-        ok, res = check_hermiticity_preserving(m, tol)
-        if not ok:
-            raise NonHermitianChoi(f"Choi Hermiticity residual {res:.3e} exceeds tolerance")
-        values = np.linalg.eigvalsh(m.choi)
-        scale = float(np.max(np.abs(values))) if values.size else 0.0
-        min_eig = float(values[0])
-        m._verdicts[key] = (min_eig >= -tol.zero_eig_rel * scale, min_eig)
+        values = choi_eigenvalues(m, tol)
+        min_eig = float(values[-1])
+        m._verdicts[key] = (min_eig >= -zero_cut(values, tol), min_eig)
     return m._verdicts[key]

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dynamap.cli import main
 from dynamap.maps import LinearMap, check_cp
@@ -229,6 +231,58 @@ def test_text_format(capsys):
     assert "witness.verdict = \"product_state\"" in out
 
 
+def _assert_clean_usage_error(code, err):
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_negative_seed_rejected(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "decompose", fix("transpose_choi.json"), "--seed", "-1")
+    _assert_clean_usage_error(code, err)
+    assert "--seed" in err
+
+    doc = json.loads((FIXTURES / "transpose_choi.json").read_text())
+    doc["seed"] = -3
+    path = tmp_path / "negative_seed.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "decompose", str(path))
+    _assert_clean_usage_error(code, err)
+    assert "$.seed" in err
+
+
+def test_samples_below_one_rejected(capsys):
+    for samples in ("0", "-5"):
+        code, out, err = run_cli(
+            capsys, "verify", fix("transpose_choi.json"), "--samples", samples
+        )
+        _assert_clean_usage_error(code, err)
+        assert "--samples" in err
+        assert out == ""
+
+
+def test_decompose_eigendecomposes_source_choi_once(capsys, monkeypatch, tmp_path):
+    from dynamap.docio import encode_matrix
+    from dynamap.generators import random_tp_map
+
+    m = random_tp_map(3, np.random.default_rng(2))
+    path = tmp_path / "n3.json"
+    path.write_text(json.dumps({"kind": "choi", "dim": 3, "data": encode_matrix(m.choi)}))
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def recording(a, *args, _solver=solver, **kwargs):
+            seen.append(np.array(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    code, _, _ = run_cli(capsys, "decompose", str(path))
+    assert code == 0
+    assert sum(a.shape == m.choi.shape and np.array_equal(a, m.choi) for a in seen) == 1
+    assert all(a.shape[-1] != 36 for a in seen)
+
+
 def test_tolerance_flag_validation(capsys):
     code, _, err = run_cli(capsys, "decompose", fix("transpose_choi.json"), "--tol-eig", "2.0")
     assert code == 1
@@ -266,3 +320,29 @@ def test_console_entry_point_subprocess():
     assert p1.returncode == 0
     assert p1.stdout == p2.stdout
     assert p1.stdout.strip().startswith(b'{"annihilation"')
+
+
+_BLAS_THREADS = """
+import ctypes
+from pathlib import Path
+import numpy as np
+import pytest
+from dynamap.cli import _one_blas_thread
+libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+get = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_", None) if libs else None
+if get is None:
+    print("none")
+else:
+    _one_blas_thread()
+    print(get())
+"""
+
+
+def test_cli_runs_blas_on_one_thread_unless_environment_sets_it():
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    counts = [subprocess.run([sys.executable, "-c", _BLAS_THREADS], env=extra, capture_output=True,
+                             text=True, check=True).stdout.strip()
+              for extra in (env, dict(env, OPENBLAS_NUM_THREADS="2"))]
+    if counts[0] == "none":
+        pytest.skip("numpy is not linked against its bundled OpenBLAS")
+    assert counts == ["1", "2"]

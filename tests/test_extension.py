@@ -22,9 +22,9 @@ from dynamap.extension import (
     reconstruct,
     sector_choi_report,
 )
-from dynamap.generators import random_density_matrix, random_tp_map
-from dynamap.linalg import partial_trace
-from dynamap.maps import LinearMap, apply_map, check_cp
+from dynamap.generators import random_density_matrix, random_tp_map, random_tp_map_with_kernel
+from dynamap.linalg import DEFAULT_TOL, frob, hermiticity_residual, partial_trace
+from dynamap.maps import LinearMap, apply_map, check_cp, from_a_form
 
 
 def test_product_extension_blocks():
@@ -223,6 +223,46 @@ def test_sector_choi_report_generic_map():
     # the symmetric construction is CP in every sector
     assert sym.full_hermiticity_residual <= 1e-10
     assert sym.full_min_eig >= -1e-10
+
+
+def _padded_direct_sum_stats(split, variant, tol=DEFAULT_TOL):
+    """Reference: build the extended-space Choi matrix explicitly, sector
+    Choi matrices on the diagonal blocks padded with zeros, and measure it."""
+    from dynamap.extension import _sector_a_forms
+
+    n = split.dim
+    a_forms = _sector_a_forms(split, variant)
+    sectors = a_forms if split.has_negative_part else a_forms[:1]
+    full = len(sectors) * n
+    choi4 = np.zeros((full,) * 4, dtype=complex)
+    for a, a_sector in enumerate(sectors):
+        block = slice(a * n, (a + 1) * n)
+        choi4[block, block, block, block] = from_a_form(a_sector).choi4
+    choi = choi4.reshape(full * full, full * full)
+    residual = hermiticity_residual(choi)
+    hermitian = residual <= tol.residual_abs * max(1.0, frob(choi))
+    min_eig = float(np.linalg.eigvalsh(choi)[0]) if hermitian else None
+    return full, residual, min_eig
+
+
+def test_sector_choi_report_full_fields_match_padded_direct_sum():
+    rng = np.random.default_rng(13)
+    seen_none = seen_value = 0
+    for m in (random_tp_map(3, rng), random_tp_map_with_kernel(3, rng), transpose_map(3),
+              amplitude_damping_map(0.3)):
+        s = cp_split(m)
+        for variant in ("literal", "symmetric"):
+            rep = sector_choi_report(s, variant)
+            full_dim, residual, min_eig = _padded_direct_sum_stats(s, variant)
+            assert rep.full_dim == full_dim
+            assert abs(rep.full_hermiticity_residual - residual) <= 1e-12
+            if min_eig is None:
+                seen_none += 1
+                assert rep.full_min_eig is None
+            else:
+                seen_value += 1
+                assert abs(rep.full_min_eig - min_eig) <= 1e-12
+    assert seen_none and seen_value
 
 
 def test_dimension_report_values():

@@ -11,6 +11,7 @@ from dynamap.channels import (
     matrix_unit,
     transpose_map,
 )
+from dynamap.cpsplit import cp_split
 from dynamap.errors import DimensionMismatch, NonHermitianChoi
 from dynamap.generators import random_density_matrix, random_tp_map
 from dynamap.maps import (
@@ -94,6 +95,20 @@ def test_kraus_to_map_damping_gamma_zero_degenerates():
     m_with_zero = kraus_to_map(KrausSet([m0, m1]))
     assert np.allclose(m.choi, identity_map(2).choi)
     assert np.allclose(m_with_zero.choi, identity_map(2).choi)
+
+
+def test_kraus_to_map_matches_outer_product_loop():
+    rng = np.random.default_rng(5)
+    for n, k in ((2, 1), (3, 5), (4, 16)):
+        ops = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(k)]
+        weights = rng.uniform(0.1, 2.0, k)
+        signs = rng.choice([-1.0, 1.0], k)
+        reference = np.zeros((n * n, n * n), dtype=complex)
+        for s, w, op in zip(signs, weights, ops):
+            v = op.reshape(-1)
+            reference += s * w * np.outer(v, v.conj())
+        m = kraus_to_map(KrausSet(ops, weights), signs)
+        assert np.abs(m.choi - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
 
 
 def test_kraus_to_map_pauli_signs_give_transpose():
@@ -247,6 +262,42 @@ def test_kraus_set_validation():
         KrausSet([np.eye(2)], [-1.0])
     with pytest.raises(DimensionMismatch):
         KrausSet([np.eye(2)], [1.0, 2.0])
+
+
+def test_linear_map_choi_is_read_only():
+    choi = identity_map(2).choi.copy()
+    m = LinearMap(choi)
+    ok, min_eig = check_cp(m)
+    with pytest.raises(ValueError):
+        m.choi[0, 0] = -5.0
+    with pytest.raises(ValueError):
+        m.choi4[0, 0, 0, 0] = -5.0
+    # the caller's array keeps its flags and does not alias the stored copy
+    assert choi.flags.writeable
+    choi[0, 0] = -5.0
+    assert m.choi[0, 0] == 1.0
+    assert check_cp(m) == (ok, min_eig)
+
+
+def test_choi_eigensystem_solved_once(monkeypatch):
+    m = random_tp_map(3, np.random.default_rng(8))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def recording(a, *args, _solver=solver, _name=name, **kwargs):
+            if np.shape(a) == m.choi.shape:
+                calls.append(_name)
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    values = choi_eigenvalues(m)
+    check_cp(m)
+    positive, negative = map_to_kraus(m)
+    cp_split(m)
+    assert calls == ["eigh"]
+    assert values is m.eigensystem[0]
+    assert len(positive) + len(negative) == 9
 
 
 def test_linear_map_rejects_bad_shapes():
