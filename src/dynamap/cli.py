@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .cpsplit import cp_split, trace_functionals, verify_annihilation
 from .dilation import dilation_round_trip, kraus_to_unitary, unitarity_residual
-from .docio import DocumentError, canonical_json, encode_matrix, parse_document
+from .docio import DocumentError, canonical_json, parse_document
 from .entangled import extension_witness, induced_dynamics
 from .errors import (
     DynamapError,
@@ -138,7 +138,7 @@ def _map_section(m, tol) -> dict:
         cp_ok, min_eig = check_cp(m, tol)
         section["is_cp"] = cp_ok
         section["min_choi_eigenvalue"] = min_eig
-        section["choi_eigenvalues"] = [float(v) for v in choi_eigenvalues(m, tol)]
+        section["choi_eigenvalues"] = choi_eigenvalues(m, tol)
     return section
 
 
@@ -174,9 +174,9 @@ def _decomposition_sections(split, tol, seed, samples) -> dict:
         "split": {
             "l_plus": split.n_positive,
             "l_minus": split.n_negative,
-            "plus_functional": encode_matrix(split.plus_functional),
-            "minus_functional": encode_matrix(split.minus_functional),
-            "plus_functional_min_eig": float(split.plus_eigenvalues[0]),
+            "plus_functional": split.plus_functional,
+            "minus_functional": split.minus_functional,
+            "plus_functional_min_eig": split.plus_eigenvalues[0],
             "minus_functional_rank": split.support_basis.shape[1],
             "kernel_dim": split.kernel_basis.shape[1],
         },
@@ -285,7 +285,7 @@ def cmd_dilate(args) -> int:
         "system_dim": dil.system_dim,
         "ancilla_dim": dil.ancilla_dim,
         "ancilla_ref_index": dil.ancilla_ref_index,
-        "unitary": encode_matrix(dil.unitary),
+        "unitary": dil.unitary,
         "unitarity_residual": unitarity_residual(dil),
         "round_trip_max_residual": trip.max_residual,
         "round_trip_passed": trip.passed,
@@ -308,8 +308,8 @@ def cmd_witness(args) -> int:
         "purity": cert.purity,
         "schmidt_rank": cert.schmidt_rank,
         "verdict": cert.verdict.value,
-        "schmidt_weights": [float(w) for w in cert.schmidt_weights],
-        "reduced_state": encode_matrix(cert.reduced_state.matrix),
+        "schmidt_weights": cert.schmidt_weights,
+        "reduced_state": cert.reduced_state.matrix,
         "explanation": cert.explanation,
     }
     _emit(report, args.format)
@@ -334,12 +334,12 @@ def cmd_extract(args) -> int:
     }
     report["extraction"] = {
         "consistency_residual": dynamics.consistency_residual,
-        "constant_part": encode_matrix(dynamics.constant_part),
-        "constant_part_trace": float(np.real(np.trace(dynamics.constant_part))),
+        "constant_part": dynamics.constant_part,
+        "constant_part_trace": np.trace(dynamics.constant_part).real,
         "extracted_map": {
             "kind": "superop_b",
             "dim": m.dim,
-            "data": encode_matrix(m.choi),
+            "data": m.choi,
         },
     }
     _emit(report, args.format)

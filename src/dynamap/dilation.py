@@ -7,9 +7,9 @@ unitary on system (x) ancilla followed by tracing out the ancilla:
 
 The columns of ``U`` addressed by the ancilla reference index are the
 stacked isometry ``x -> sum_i (M_i x) (x) |i>``; completeness makes those
-columns orthonormal and the remaining columns are filled by a deterministic
-Gram-Schmidt sweep over the standard basis, so dilations are reproducible
-bit for bit.
+columns orthonormal, and the remaining columns are the orthogonal complement
+from one complete QR factorization of the isometry.  That completion is
+deterministic for a given numpy/LAPACK build.
 """
 
 from dataclasses import dataclass
@@ -30,16 +30,18 @@ class UnitaryDilation:
     ancilla_ref_index: int
 
     def evolve(self, rho) -> np.ndarray:
-        """Apply the dilation to a system state: extend, conjugate, trace."""
+        """Apply the dilation to a system state and trace out the ancilla.
+
+        ``U (rho (x) |ref><ref|) U^dag`` equals ``V rho V^dag`` with ``V`` the
+        reference columns of ``U``, so only those columns are used.
+        """
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.system_dim, self.system_dim):
             raise DimensionMismatch(
                 f"state shape {rho.shape} does not match system dim {self.system_dim}"
             )
-        anc = np.zeros((self.ancilla_dim, self.ancilla_dim), dtype=complex)
-        anc[self.ancilla_ref_index, self.ancilla_ref_index] = 1.0
-        joint = np.kron(rho, anc)
-        evolved = self.unitary @ joint @ self.unitary.conj().T
+        v = self.unitary[:, self.ancilla_ref_index :: self.ancilla_dim]
+        evolved = v @ rho @ v.conj().T
         return partial_trace(evolved, (self.system_dim, self.ancilla_dim), "b")
 
 
@@ -62,56 +64,17 @@ def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> Uni
     ops = kraus.folded_operators()
     if not ops:
         raise NotCompleteKraus("empty Kraus set")
-    n = kraus.dim
-    d = len(ops)
-    completeness = sum(op.conj().T @ op for op in ops)
-    res = frob(completeness - np.eye(n))
+    n, d = kraus.dim, len(ops)
+    total = n * d
+    # joint index (system row r, ancilla row i) -> r * d + i; ref ancilla 0
+    isometry = np.stack(ops, axis=1).reshape(total, n)
+    res = frob(isometry.conj().T @ isometry - np.eye(n))
     if res > tol.residual_abs:
         raise NotCompleteKraus(f"completeness residual {res:.3e} exceeds tolerance")
 
-    total = n * d
-    # joint index (system row r, ancilla row i) -> r * d + i; ref ancilla 0
-    isometry = np.zeros((total, n), dtype=complex)
-    for i, op in enumerate(ops):
-        isometry[i::d, :] = op
-
-    unitary = np.zeros((total, total), dtype=complex)
-    for x in range(n):
-        unitary[:, x * d] = isometry[:, x]
-    remaining = [c for c in range(total) if c % d != 0]
-
-    basis = [unitary[:, x * d] for x in range(n)]
-
-    def orthonormalized(cand):
-        for _ in range(2):  # re-orthogonalize for unitarity at 1e-15
-            for b in basis:
-                cand = cand - b * (b.conj() @ cand)
-        norm = np.linalg.norm(cand)
-        return cand / norm if norm > 1e-8 else None
-
-    pos = 0
-    for k in range(total):
-        if pos == len(remaining):
-            break
-        cand = orthonormalized(np.eye(total, dtype=complex)[:, k])
-        if cand is not None:
-            unitary[:, remaining[pos]] = cand
-            basis.append(cand)
-            pos += 1
-    # fixed-seed fallback in case the standard-basis sweep was insufficient
-    rng = np.random.default_rng(0)
-    attempts = 0
-    while pos < len(remaining) and attempts < 100 * total:
-        raw = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-        cand = orthonormalized(raw / np.linalg.norm(raw))
-        if cand is not None:
-            unitary[:, remaining[pos]] = cand
-            basis.append(cand)
-            pos += 1
-        attempts += 1
-    if pos != len(remaining):
-        raise RuntimeError("orthonormal completion failed")
-
+    unitary = np.empty((total, total), dtype=complex)
+    unitary[:, ::d] = isometry
+    unitary[:, np.arange(total) % d != 0] = np.linalg.qr(isometry, mode="complete")[0][:, n:]
     return UnitaryDilation(system_dim=n, ancilla_dim=d, unitary=unitary, ancilla_ref_index=0)
 
 

@@ -17,12 +17,15 @@ integer ``seed`` and an optional ``tolerances`` object overriding
 ``zero_eig_rel`` and ``residual_abs``.
 
 Reports are serialized by :func:`canonical_json`: keys sorted, no
-whitespace, floats rendered with 17 significant digits.  Identical inputs,
-seeds and tool version therefore produce byte-identical reports.
+whitespace, floats rendered with 17 significant digits.  Report values may
+be numpy arrays; they are written as nested lists, complex entries as the
+same ``[re, im]`` pairs the inputs use.  Identical inputs, seeds and tool
+version therefore produce byte-identical reports.
 """
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -66,8 +69,11 @@ class ParsedDocument:
 def _real_number(node, path):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise DocumentError(path, f"expected a real number, got {type(node).__name__}")
-    value = float(node)
-    if not np.isfinite(value):
+    try:
+        value = float(node)
+    except OverflowError:
+        raise DocumentError(path, "number is too large for a float") from None
+    if not math.isfinite(value):
         raise DocumentError(path, "number is not finite")
     return value
 
@@ -127,7 +133,7 @@ def parse_document(raw: bytes) -> ParsedDocument:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # decode errors, int digit limit, deep nesting
         raise DocumentError("$", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("$", "document must be a JSON object")
@@ -194,28 +200,38 @@ def parse_document(raw: bytes) -> ParsedDocument:
     return ParsedDocument(kind, linear_map=linear_map, seed=seed, tol=tol, digest=digest)
 
 
+def _real_parts(m) -> np.ndarray:
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        m = np.stack((m.real, m.imag), axis=-1)
+    return m.astype(float)
+
+
 def encode_matrix(m) -> list:
-    """Encode a complex matrix as nested [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x}")
-    return format(x, ".17g")
+    """Encode an array as nested lists of floats, complex entries as [re, im]."""
+    return _real_parts(m).tolist()
 
 
 def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, compact, 17-significant-digit floats."""
+    """Deterministic JSON: sorted keys, compact, 17-significant-digit floats.
+
+    Floats and numpy arrays are written as :func:`encode_matrix` encodes
+    them, checked once for finiteness and formatted in one pass.
+    """
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
+    if isinstance(value, (float, np.floating, np.ndarray)):
+        real = _real_parts(value)
+        if not np.isfinite(real).all():
+            raise ValueError(f"cannot serialize non-finite floats: {value}")
+        template = "%.17g"
+        for size in reversed(real.shape):
+            template = "[" + ",".join([template] * size) + "]"
+        return template % tuple(real.ravel().tolist())
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):

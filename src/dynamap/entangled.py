@@ -166,13 +166,9 @@ def induced_dynamics(
 
     constant = partial_trace(u @ correlation @ u.conj().T, (ns, ne), "b")
 
-    choi4 = np.zeros((ns, ns, ns, ns), dtype=complex)
-    for r in range(ns):
-        for s in range(ns):
-            unit = np.zeros((ns, ns), dtype=complex)
-            unit[r, s] = 1.0
-            image = partial_trace(u @ kron(unit, rho_e) @ u.conj().T, (ns, ne), "b")
-            choi4[:, r, :, s] = image
+    # Choi[(a, r), (b, s)] = Tr_env[u (|r><s| (x) rho_e) u^dag][a, b]
+    u4 = u.reshape(ns, ne, ns, ne)
+    choi4 = np.einsum("airj,jk,bisk->arbs", u4, rho_e, u4.conj(), optimize=True)
     linear_part = LinearMap(choi4.reshape(ns * ns, ns * ns))
 
     tp_choi = linear_part.choi + np.kron(constant, np.eye(ns))

@@ -231,6 +231,30 @@ def test_text_format(capsys):
     assert "witness.verdict = \"product_state\"" in out
 
 
+def _report_field(report, dotted):
+    for key in dotted.split("."):
+        report = report[key]
+    return report
+
+
+def _leaves(value):
+    return sum(map(_leaves, value.values())) if isinstance(value, dict) else 1
+
+
+@pytest.mark.parametrize("command,name", [("dilate", "amplitude_damping_kraus.json"),
+                                          ("decompose", "transpose_choi.json")])
+def test_text_format_lines_parse_back_to_json_fields(capsys, command, name):
+    code, rep, _ = run_json(capsys, command, fix(name))
+    assert code == 0
+    code, out, _ = run_cli(capsys, command, fix(name), "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == _leaves(rep)
+    for line in lines:
+        key, value = line.split(" = ", 1)
+        assert json.loads(value) == _report_field(rep, key), key
+
+
 def _assert_clean_usage_error(code, err):
     assert code == 1
     assert "error:" in err
@@ -346,3 +370,62 @@ def test_cli_runs_blas_on_one_thread_unless_environment_sets_it():
     if counts[0] == "none":
         pytest.skip("numpy is not linked against its bundled OpenBLAS")
     assert counts == ["1", "2"]
+
+
+_HUGE_INT = "1" + "0" * 309
+
+
+@pytest.mark.parametrize("document,path", [
+    ('{"kind": "kraus", "dim": 1, "data": [[[[%s, 0]]]]}' % _HUGE_INT, "$.data[0][0][0][0]"),
+    ('{"kind": "kraus", "dim": 1, "data": [[[[1, 0]]]], "weights": [%s]}' % _HUGE_INT,
+     "$.weights[0]"),
+    ('{"kind": "kraus", "dim": 1, "data": [[[[1, 0]]]], "tolerances": {"residual_abs": %s}}'
+     % _HUGE_INT, "$.tolerances.residual_abs"),
+    ('{"kind": "kraus", "dim": 1, "data": [[[[%s, 0]]]]}' % ("7" * 5000), "$"),
+    ('{"kind": "choi", "dim": 1, "data": %s%s}' % ("[" * 100000, "]" * 100000), "$"),
+], ids=["overflow_data", "overflow_weights", "overflow_tolerances", "many_digits", "deep"])
+def test_oversized_or_deep_json_is_invalid_input(capsys, tmp_path, document, path):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(document)
+    code, out, err = run_cli(capsys, "decompose", str(doc_path))
+    _assert_clean_usage_error(code, err)
+    assert err.startswith(f"error: invalid input: {path}: ")
+    assert out == ""
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0, 2.0 ** 52 + 1.0]
+
+
+def test_canonical_json_arrays_match_nested_python_floats():
+    from dynamap.docio import canonical_json
+
+    rng = np.random.default_rng(8)
+    cplx = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    cplx.real.flat[:len(_EDGE_FLOATS)] = _EDGE_FLOATS
+    cplx.imag.flat[-len(_EDGE_FLOATS):] = _EDGE_FLOATS
+    nested = [[[float(z.real), float(z.imag)] for z in row] for row in cplx]
+    assert canonical_json(cplx) == canonical_json(nested)
+    real = np.array(_EDGE_FLOATS + list(rng.standard_normal(5)))
+    assert canonical_json(real) == canonical_json([float(x) for x in real])
+    for x in _EDGE_FLOATS:
+        assert canonical_json(np.array(x)) == canonical_json(x) == format(x, ".17g")
+    assert canonical_json({"a": cplx, "b": [real]}) == canonical_json({"a": nested,
+                                                                     "b": [real.tolist()]})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_canonical_json_rejects_non_finite_array_entries(bad):
+    from dynamap.docio import canonical_json
+
+    for array in (np.zeros(4), np.zeros((2, 3), dtype=complex)):
+        for index in (0, array.size - 1):
+            poisoned = array.copy()
+            poisoned.flat[index] = bad
+            with pytest.raises(ValueError):
+                canonical_json(poisoned)
+        poisoned = np.zeros((2, 2), dtype=complex)
+        poisoned[1, 0] = complex(0.0, bad)
+        with pytest.raises(ValueError):
+            canonical_json(poisoned)
+    with pytest.raises(ValueError):
+        canonical_json(np.array(bad))

@@ -104,3 +104,27 @@ def test_evolve_dimension_check():
         dil.evolve(np.eye(3))
     with pytest.raises(DimensionMismatch):
         dilation_round_trip(dil, identity_map(3), samples=1, seed=0)
+
+
+def _stacked_isometry(kraus):
+    ops = kraus.folded_operators()
+    n, d = kraus.dim, len(ops)
+    iso = np.zeros((n * d, n), dtype=complex)
+    for i, op in enumerate(ops):
+        iso[i::d, :] = op
+    return iso
+
+
+@pytest.mark.parametrize(
+    "kraus",
+    [amplitude_damping_kraus(0.0), amplitude_damping_kraus(0.3), amplitude_damping_kraus(1.0),
+     KrausSet([np.eye(3)]), random_cptp_kraus(3, 4, np.random.default_rng(6))],
+    ids=["damping_0", "damping_0.3", "damping_1", "identity", "random_3x4"],
+)
+def test_qr_completion_keeps_isometry_and_is_unitary(kraus):
+    dil = kraus_to_unitary(kraus)
+    d = len(kraus)
+    assert dil.unitary.shape == (kraus.dim * d, kraus.dim * d)
+    assert np.array_equal(dil.unitary[:, dil.ancilla_ref_index::d], _stacked_isometry(kraus))
+    assert unitarity_residual(dil) <= 1e-12
+    assert np.array_equal(dil.unitary, kraus_to_unitary(kraus).unitary)

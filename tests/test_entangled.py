@@ -198,3 +198,26 @@ def test_ncp_family_tp_and_monotone():
 def test_ncp_family_rejects_out_of_range():
     with pytest.raises(ValueError):
         ncp_family(1.5)
+
+
+def _induced_linear_choi_loop(phi, u):
+    """Reference: the Choi of sigma -> Tr_env[u (sigma (x) rho_e) u^dag], one unit at a time."""
+    ns, ne = phi.dims
+    rho_e = phi.reduced_environment()
+    choi4 = np.zeros((ns, ns, ns, ns), dtype=complex)
+    for r in range(ns):
+        for s in range(ns):
+            unit = np.zeros((ns, ns), dtype=complex)
+            unit[r, s] = 1.0
+            joint = u @ np.kron(unit, rho_e) @ u.conj().T
+            choi4[:, r, :, s] = np.einsum("iaja->ij", joint.reshape(ns, ne, ns, ne))
+    return choi4.reshape(ns * ns, ns * ns)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 2)])
+def test_induced_dynamics_matches_unit_by_unit_loop(dims):
+    rng = np.random.default_rng(sum(dims) * 7 + dims[0])
+    phi = random_joint_pure_state(dims, rng)
+    u = haar_unitary(dims[0] * dims[1], rng)
+    dyn = induced_dynamics(phi, u)
+    assert np.max(np.abs(dyn.linear_part.choi - _induced_linear_choi_loop(phi, u))) <= 1e-12
