@@ -23,13 +23,9 @@ from .cpsplit import cp_split, trace_functionals, verify_annihilation
 from .dilation import dilation_round_trip, kraus_to_unitary, unitarity_residual
 from .docio import DocumentError, canonical_json, parse_document
 from .entangled import extension_witness, induced_dynamics
-from .errors import (
-    DynamapError,
-    NotCompleteKraus,
-    NotTracePreserving,
-)
+from .errors import DynamapError, NotCompleteKraus
 from .extension import dimension_report, reconstruct, sector_choi_report
-from .generators import random_density_matrix
+from .generators import random_density_matrix, seeded_stack
 from .linalg import ToleranceConfig
 from .maps import (
     check_cp,
@@ -37,7 +33,7 @@ from .maps import (
     check_tp,
     choi_eigenvalues,
     map_to_kraus,
-    require_hermiticity_preserving,
+    require_tp,
 )
 
 EXIT_OK = 0
@@ -166,11 +162,18 @@ def _base_report(command, doc, tol, seed, args) -> dict:
     }
 
 
-def _decomposition_sections(split, tol, seed, samples) -> dict:
-    ann = verify_annihilation(split, tol, samples=samples, seed=seed)
-    tf = trace_functionals(split, samples=samples, seed=seed, tol=tol)
+def _decomposition_report(command, args):
+    """Resolve a map document, split it and build the ``decompose`` report;
+    returns ``(report, split, tol, seed)``."""
+    doc, tol, seed = _resolve(args)
+    _require_map_document(doc, command)
+    split = cp_split(doc.linear_map, tol)
+    ann = verify_annihilation(split, tol, samples=args.samples, seed=seed)
+    tf = trace_functionals(split, samples=args.samples, seed=seed, tol=tol)
     dims = dimension_report(split)
-    return {
+    report = _base_report(command, doc, tol, seed, args)
+    report["map"] = _map_section(doc.linear_map, tol)
+    report.update({
         "split": {
             "l_plus": split.n_positive,
             "l_minus": split.n_negative,
@@ -205,7 +208,8 @@ def _decomposition_sections(split, tol, seed, samples) -> dict:
             "literal": _sector_section(sector_choi_report(split, "literal", tol)),
             "symmetric": _sector_section(sector_choi_report(split, "symmetric", tol)),
         },
-    }
+    })
+    return report, split, tol, seed
 
 
 def _emit(report: dict, fmt: str):
@@ -224,28 +228,15 @@ def _emit(report: dict, fmt: str):
 
 
 def cmd_decompose(args) -> int:
-    doc, tol, seed = _resolve(args)
-    _require_map_document(doc, "decompose")
-    split = cp_split(doc.linear_map, tol)
-    report = _base_report("decompose", doc, tol, seed, args)
-    report["map"] = _map_section(doc.linear_map, tol)
-    report.update(_decomposition_sections(split, tol, seed, args.samples))
+    report = _decomposition_report("decompose", args)[0]
     _emit(report, args.format)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    doc, tol, seed = _resolve(args)
-    _require_map_document(doc, "verify")
-    split = cp_split(doc.linear_map, tol)
-    report = _base_report("verify", doc, tol, seed, args)
-    report["map"] = _map_section(doc.linear_map, tol)
-    report.update(_decomposition_sections(split, tol, seed, args.samples))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(args.samples):
-        _, residual = reconstruct(split, random_density_matrix(split.dim, rng), args.variant)
-        worst = max(worst, residual)
+    report, split, tol, seed = _decomposition_report("verify", args)
+    states = seeded_stack(random_density_matrix, split.dim, args.samples, seed)
+    worst = reconstruct(split, states, args.variant)[1]
     passed = worst <= tol.residual_abs
     report["reconstruction"] = {
         "variant": args.variant,
@@ -266,10 +257,7 @@ def cmd_dilate(args) -> int:
     doc, tol, seed = _resolve(args)
     _require_map_document(doc, "dilate")
     m = doc.linear_map
-    require_hermiticity_preserving(m, tol)
-    tp_ok, tp_res = check_tp(m, tol)
-    if not tp_ok:
-        raise NotTracePreserving(f"trace-preservation residual {tp_res:.3e} exceeds tolerance")
+    require_tp(m, tol)
     cp_ok, min_eig = check_cp(m, tol)
     if not cp_ok:
         raise NotCompleteKraus(

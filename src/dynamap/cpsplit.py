@@ -33,11 +33,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotTracePreserving, SingularJ
+from .errors import SingularJ
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    frob,
+    max_frob,
     partial_trace,
     spectral_power,
     zero_cut,
@@ -46,12 +46,11 @@ from .maps import (
     KrausSet,
     LinearMap,
     apply_map,
-    check_tp,
-    require_hermiticity_preserving,
+    require_tp,
     sign_split,
     weighted_choi,
 )
-from .generators import random_complex, random_density_matrix
+from .generators import random_complex, random_density_matrix, seeded_stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +150,7 @@ def cp_split(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> CPSplit:
     Raises :class:`NonHermitianChoi` or :class:`NotTracePreserving` when the
     preconditions fail.
     """
-    require_hermiticity_preserving(m, tol)
-    ok, res = check_tp(m, tol)
-    if not ok:
-        raise NotTracePreserving(f"trace-preservation residual {res:.3e} exceeds tolerance")
+    require_tp(m, tol)
     return split_from_eigensystem(m, *m.eigensystem, tol)
 
 
@@ -216,29 +212,20 @@ def verify_annihilation(
     All four residual families must stay below ``residual_abs``; they are
     vacuously zero when the kernel is empty (checks over empty index sets).
     """
-    neg = split.negative_part
-    kernel = split.kernel_basis
-    support = split.support_basis
-    rng = np.random.default_rng(seed)
+    n, neg = split.dim, split.negative_part
+    kernel, support = split.kernel_basis.T, split.support_basis.T  # one vector per row
 
-    kernel_state = 0.0
-    cross = 0.0
-    mechanism = 0.0
-    for q in range(kernel.shape[1]):
-        phi = kernel[:, q]
-        kernel_state = max(kernel_state, frob(apply_map(neg, np.outer(phi, phi.conj()))))
-        for r in range(support.shape[1]):
-            psi = support[:, r]
-            cross = max(cross, frob(apply_map(neg, np.outer(phi, psi.conj()))))
-            cross = max(cross, frob(apply_map(neg, np.outer(psi, phi.conj()))))
-        for op in split.negative_kraus.operators:
-            mechanism = max(mechanism, float(np.linalg.norm(op @ phi)))
+    def dyads(kets, bras):  # |ket><bra| over the broadcast leading axes, as np.outer
+        return kets[..., :, None] * bras[..., None, :].conj()
 
-    restriction = 0.0
-    for _ in range(samples):
-        rho = random_density_matrix(split.dim, rng)
-        delta = apply_map(neg, rho) - apply_map(neg, split.support_projector @ rho)
-        restriction = max(restriction, frob(delta))
+    kernel_state = max_frob(apply_map(neg, dyads(kernel, kernel)))
+    cross_dyads = np.stack((dyads(kernel[:, None], support), dyads(support, kernel[:, None])))
+    cross = max_frob(apply_map(neg, cross_dyads))
+    # every negative operator on every kernel vector, as a stack of columns
+    ops = np.reshape(split.negative_kraus.operators, (-1, 1, n, n))
+    mechanism = max_frob(ops @ kernel[:, :, None])
+    rhos = seeded_stack(random_density_matrix, n, samples, seed)
+    restriction = max_frob(apply_map(neg, rhos) - apply_map(neg, split.support_projector @ rhos))
 
     worst = max(kernel_state, cross, mechanism, restriction)
     return AnnihilationReport(
@@ -248,8 +235,8 @@ def verify_annihilation(
         support_restriction_residual=restriction,
         max_residual=worst,
         passed=bool(worst <= tol.residual_abs),
-        kernel_dim=kernel.shape[1],
-        support_dim=support.shape[1],
+        kernel_dim=len(kernel),
+        support_dim=len(support),
         samples=samples,
         seed=seed,
     )
@@ -271,30 +258,17 @@ def trace_functionals(
     singular, which cannot happen for a trace-preserving source.
     """
     j_inv = split.plus_inv
+    xs = seeded_stack(lambda n, rng: random_complex((n, n), rng), split.dim, samples, seed)
 
-    rng = np.random.default_rng(seed)
-    plus_res = minus_res = plus_inv_res = minus_sup_res = 0.0
-    for _ in range(samples):
-        x = random_complex((split.dim, split.dim), rng)
-        plus_res = max(
-            plus_res,
-            abs(np.trace(apply_map(split.positive_part, x)) - np.trace(split.plus_functional @ x)),
-        )
-        minus_res = max(
-            minus_res,
-            abs(np.trace(apply_map(split.negative_part, x)) - np.trace(split.minus_functional @ x)),
-        )
-        plus_inv_res = max(
-            plus_inv_res,
-            abs(np.trace(apply_map(split.positive_part, j_inv @ x)) - np.trace(x)),
-        )
-        minus_sup_res = max(
-            minus_sup_res,
-            abs(
-                np.trace(apply_map(split.negative_part, split.minus_pinv @ x))
-                - np.trace(split.support_projector @ x)
-            ),
-        )
+    def gap(a, b):  # largest |Tr a - Tr b| over the stack; hypot is Python's abs
+        diff = np.trace(a, axis1=-2, axis2=-1) - np.trace(b, axis1=-2, axis2=-1)
+        return float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
+
+    pos, neg = split.positive_part, split.negative_part
+    plus_res = gap(apply_map(pos, xs), split.plus_functional @ xs)
+    minus_res = gap(apply_map(neg, xs), split.minus_functional @ xs)
+    plus_inv_res = gap(apply_map(pos, j_inv @ xs), xs)
+    minus_sup_res = gap(apply_map(neg, split.minus_pinv @ xs), split.support_projector @ xs)
     worst = max(plus_res, minus_res, plus_inv_res, minus_sup_res)
     return TraceFunctionalReport(
         plus_residual=plus_res,

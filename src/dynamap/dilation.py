@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotCompleteKraus
-from .generators import random_density_matrix
-from .linalg import DEFAULT_TOL, ToleranceConfig, frob, partial_trace
-from .maps import KrausSet, LinearMap, apply_map
+from .generators import random_density_matrix, seeded_stack
+from .linalg import DEFAULT_TOL, ToleranceConfig, frob, max_frob
+from .maps import KrausSet, LinearMap, apply_map, as_states
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,19 +30,18 @@ class UnitaryDilation:
     ancilla_ref_index: int
 
     def evolve(self, rho) -> np.ndarray:
-        """Apply the dilation to a system state and trace out the ancilla.
+        """Apply the dilation to a system state, or to each state of a stack
+        ``(..., n, n)``, and trace out the ancilla.
 
-        ``U (rho (x) |ref><ref|) U^dag`` equals ``V rho V^dag`` with ``V`` the
-        reference columns of ``U``, so only those columns are used.
+        ``Tr_anc[U (rho (x) |ref><ref|) U^dag]`` is ``sum_a M_a rho M_a^dag``
+        with ``M_a`` the rows of the reference columns of ``U`` that belong
+        to ancilla row ``a``, so only those columns are used and no
+        system-plus-ancilla matrix is formed.
         """
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.system_dim, self.system_dim):
-            raise DimensionMismatch(
-                f"state shape {rho.shape} does not match system dim {self.system_dim}"
-            )
-        v = self.unitary[:, self.ancilla_ref_index :: self.ancilla_dim]
-        evolved = v @ rho @ v.conj().T
-        return partial_trace(evolved, (self.system_dim, self.ancilla_dim), "b")
+        n, d = self.system_dim, self.ancilla_dim
+        rho = as_states(rho, n)
+        ops = self.unitary[:, self.ancilla_ref_index :: d].reshape(n, d, n).transpose(1, 0, 2)
+        return (ops @ rho[..., None, :, :] @ ops.conj().transpose(0, 2, 1)).sum(axis=-3)
 
 
 @dataclass(frozen=True)
@@ -95,11 +94,8 @@ def dilation_round_trip(
         raise DimensionMismatch(
             f"map dim {m.dim} does not match dilation system dim {dilation.system_dim}"
         )
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        rho = random_density_matrix(m.dim, rng)
-        worst = max(worst, frob(dilation.evolve(rho) - apply_map(m, rho)))
+    rhos = seeded_stack(random_density_matrix, m.dim, samples, seed)
+    worst = max_frob(dilation.evolve(rhos) - apply_map(m, rhos))
     return RoundTripReport(
         max_residual=worst, passed=worst <= tol.residual_abs, samples=samples, seed=seed
     )

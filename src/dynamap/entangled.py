@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import depolarizing_map, transpose_map
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOL, ToleranceConfig, frob, kron, partial_trace
+from .linalg import DEFAULT_TOL, ToleranceConfig, frob, kron, partial_trace, zero_cut
 from .maps import DensityMatrix, LinearMap, apply_map
 
 
@@ -101,7 +101,7 @@ def extension_witness(
     weights = np.linalg.eigvalsh(rho)[::-1]
     weights = np.clip(weights, 0.0, None)
     purity = float(np.real(np.trace(rho @ rho)))
-    rank = int(np.sum(weights > tol.zero_eig_rel * weights[0])) if weights.size else 0
+    rank = int(np.sum(weights > zero_cut(weights, tol)))
     if rank >= 2:
         verdict = ExtensionVerdict.POSITIVE_EXTENSION_IMPOSSIBLE
         explanation = (

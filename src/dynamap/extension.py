@@ -41,21 +41,21 @@ import numpy as np
 
 from .cpsplit import CPSplit
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_complex_matrix, frob, kron
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_complex_matrix, frob, kron, max_frob
 from .maps import (
     DensityMatrix,
     a_form,
     apply_map,
+    as_states,
     check_hermiticity_preserving,
     from_a_form,
 )
 
-VARIANTS = ("literal", "symmetric")
-
 
 @dataclass(frozen=True, eq=False)
 class ExtendedState:
-    """Two signed blocks of an extended system-plus-label operator.
+    """Two signed blocks of an extended system-plus-label operator, or of
+    each operator of a stack when the blocks are stacks ``(..., dim, dim)``.
 
     ``minus_block`` is ``None`` when the source map has no negative part, in
     which case the extension needs no second label at all.
@@ -97,28 +97,36 @@ def product_extension(rho, ancilla_dim: int) -> np.ndarray:
     return kron(rho, anc)
 
 
-def _check_state(split: CPSplit, rho) -> np.ndarray:
-    rho = as_complex_matrix(rho)
-    if rho.shape != (split.dim, split.dim):
-        raise DimensionMismatch(f"state shape {rho.shape} does not match dim {split.dim}")
-    return rho
+def _sector_factors(split: CPSplit, variant: str, inverse: bool):
+    """``(left, right)`` factors of the plus and minus sectors of a variant.
+
+    The extension puts ``left @ rho @ right`` in each sector; with
+    ``inverse`` the factors are the (pseudo-)inverses the sector evolution
+    applies.  ``right`` is the identity for ``literal``, which therefore
+    never takes a root; the plus factors other than ``plus_functional``
+    raise :class:`SingularJ` when it is singular.
+    """
+    if variant == "literal":
+        eye = np.eye(split.dim)
+        if inverse:
+            return (split.plus_inv, eye), (split.minus_pinv, eye)
+        return (split.plus_functional, eye), (split.minus_functional, eye)
+    if variant == "symmetric":
+        plus, minus = (
+            (split.plus_inv_sqrt, split.minus_pinv_sqrt) if inverse
+            else (split.plus_sqrt, split.minus_sqrt)
+        )
+        return (plus, plus), (minus, minus)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def build_extension(split: CPSplit, rho, variant: str = "literal") -> ExtendedState:
-    """Extend a state into the two signed blocks for the given variant."""
-    rho = _check_state(split, rho)
-    if variant == "literal":
-        plus = split.plus_functional @ rho
-        minus = -(split.minus_functional @ rho) if split.has_negative_part else None
-    elif variant == "symmetric":
-        plus = split.plus_sqrt @ rho @ split.plus_sqrt
-        if split.has_negative_part:
-            minus = -(split.minus_sqrt @ rho @ split.minus_sqrt)
-        else:
-            minus = None
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return ExtendedState(dim=split.dim, plus_block=plus, minus_block=minus)
+    """Extend a state, or each state of a stack, into the two signed blocks
+    for the given variant."""
+    rho = as_states(rho, split.dim)
+    (pl, pr), (ml, mr) = _sector_factors(split, variant, inverse=False)
+    minus = -(ml @ rho @ mr) if split.has_negative_part else None
+    return ExtendedState(dim=split.dim, plus_block=pl @ rho @ pr, minus_block=minus)
 
 
 def apply_sector_map(split: CPSplit, state: ExtendedState, variant: str = "literal") -> ExtendedState:
@@ -129,20 +137,11 @@ def apply_sector_map(split: CPSplit, state: ExtendedState, variant: str = "liter
     """
     if state.dim != split.dim:
         raise DimensionMismatch(f"state dim {state.dim} does not match split dim {split.dim}")
-    if variant == "literal":
-        plus = apply_map(split.positive_part, split.plus_inv @ state.plus_block)
-        minus = None
-        if state.has_minus:
-            minus = apply_map(split.negative_part, split.minus_pinv @ state.minus_block)
-    elif variant == "symmetric":
-        j_is = split.plus_inv_sqrt
-        plus = apply_map(split.positive_part, j_is @ state.plus_block @ j_is)
-        minus = None
-        if state.has_minus:
-            k_ps = split.minus_pinv_sqrt
-            minus = apply_map(split.negative_part, k_ps @ state.minus_block @ k_ps)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    (pl, pr), (ml, mr) = _sector_factors(split, variant, inverse=True)
+    plus = apply_map(split.positive_part, pl @ state.plus_block @ pr)
+    minus = None
+    if state.has_minus:
+        minus = apply_map(split.negative_part, ml @ state.minus_block @ mr)
     return ExtendedState(dim=split.dim, plus_block=plus, minus_block=minus)
 
 
@@ -151,30 +150,20 @@ def reconstruct(split: CPSplit, rho, variant: str = "literal"):
 
     Returns ``(result, residual)`` where ``residual`` is the Frobenius
     distance between the chain output and the source map applied directly.
+    For a stack of states ``(..., N, N)`` the result is the stack of chain
+    outputs and the residual the largest per-state distance.
     """
-    rho = _check_state(split, rho)
+    rho = as_states(rho, split.dim)
     chain = apply_sector_map(split, build_extension(split, rho, variant), variant)
     result = chain.block_sum()
-    residual = frob(result - apply_map(split.source, rho))
-    return result, residual
+    return result, max_frob(result - apply_map(split.source, rho))
 
 
 def _sector_a_forms(split: CPSplit, variant: str):
     """A-form matrices of the plus and minus sector maps."""
-    n = split.dim
-    eye = np.eye(n)
-    a_plus_part = a_form(split.positive_part)
-    a_minus_part = a_form(split.negative_part)
-    if variant == "literal":
-        a_plus = a_plus_part @ kron(split.plus_inv, eye)
-        a_minus = a_minus_part @ kron(split.minus_pinv, eye)
-    elif variant == "symmetric":
-        j_is, k_ps = split.plus_inv_sqrt, split.minus_pinv_sqrt
-        a_plus = a_plus_part @ kron(j_is, j_is.T)
-        a_minus = a_minus_part @ kron(k_ps, k_ps.T)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return a_plus, a_minus
+    factors = _sector_factors(split, variant, inverse=True)
+    parts = (split.positive_part, split.negative_part)
+    return tuple(a_form(part) @ kron(left, right.T) for part, (left, right) in zip(parts, factors))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Seeded random generators for states, unitaries and maps.
 
 Every function takes an explicit ``numpy.random.Generator`` so that runs are
-reproducible.  Two generators deserve a note:
+reproducible, except ``seeded_stack``, which takes the seed of a fresh one.
+Two generators deserve a note:
 
 * ``random_tp_map`` draws trace-preserving, Hermiticity-preserving maps with
   full-measure coverage of the non-completely-positive region: it mixes a
@@ -41,6 +42,15 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = random_complex((dim, dim), rng)
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+def seeded_stack(draw, dim: int, samples: int, seed: int) -> np.ndarray:
+    """Stack ``(samples, dim, dim)`` of ``draw(dim, rng)`` matrices from
+    ``default_rng(seed)``, one call per sample in order, so each matrix is
+    the one a loop of single draws gives; no samples give an empty stack."""
+    rng = np.random.default_rng(seed)
+    draws = [draw(dim, rng) for _ in range(samples)]
+    return np.array(draws, dtype=complex).reshape(samples, dim, dim)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -36,14 +36,23 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def as_complex_stack(m) -> np.ndarray:
+    """Coerce one matrix or a stack ``(..., rows, cols)`` of matrices to a
+    complex ndarray, rejecting NaN/Inf entries."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix, got array of ndim {a.ndim}")
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise ValueError("matrix contains non-finite entries")
+    return a
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex ndarray, rejecting NaN/Inf entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of ndim {a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix contains non-finite entries")
-    return a
+    return as_complex_stack(a)
 
 
 def frob(m) -> float:
@@ -51,8 +60,26 @@ def frob(m) -> float:
     return float(np.linalg.norm(m))
 
 
+def max_frob(stack: np.ndarray) -> float:
+    """Largest Frobenius norm over a stack ``(..., rows, cols)``; 0.0 for an
+    empty stack.  Each squared norm is the real dot product of the flattened
+    entries, the sum ``np.linalg.norm`` forms, so one matrix gives
+    :func:`frob` exactly."""
+    size = stack.shape[-2] * stack.shape[-1]
+    rows, cols = stack.reshape(-1, 1, size), stack.reshape(-1, size, 1)
+    squares = rows.real @ cols.real + rows.imag @ cols.imag
+    return float(np.sqrt(np.max(squares, initial=0.0)))
+
+
 def hermiticity_residual(m: np.ndarray) -> float:
     return frob(m - m.conj().T)
+
+
+def hermiticity_check(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:
+    """``(ok, residual)``: the Hermiticity residual of ``m`` against
+    ``residual_abs`` scaled by ``max(1, ‖m‖)``."""
+    residual = hermiticity_residual(m)
+    return residual <= tol.residual_abs * max(1.0, frob(m)), residual
 
 
 def _require_square(m: np.ndarray) -> np.ndarray:
@@ -64,8 +91,8 @@ def _require_square(m: np.ndarray) -> np.ndarray:
 
 def _require_hermitian(m: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     m = _require_square(m)
-    res = hermiticity_residual(m)
-    if res > tol.residual_abs * max(1.0, frob(m)):
+    ok, res = hermiticity_check(m, tol)
+    if not ok:
         raise NonHermitianInput(f"Hermiticity residual {res:.3e} exceeds tolerance")
     return m
 

@@ -22,13 +22,14 @@ which is an exact involutive permutation of entries.
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianChoi
+from .errors import DimensionMismatch, NonHermitianChoi, NotTracePreserving
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_complex_matrix,
+    as_complex_stack,
     frob,
-    hermiticity_residual,
+    hermiticity_check,
     zero_cut,
 )
 
@@ -90,7 +91,7 @@ class DensityMatrix:
         matrix = as_complex_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {matrix.shape}")
-        if hermiticity_residual(matrix) > tol.residual_abs * max(1.0, frob(matrix)):
+        if not hermiticity_check(matrix, tol)[0]:
             raise ValueError("density matrix is not Hermitian within tolerance")
         eigs = np.linalg.eigvalsh(matrix)
         if eigs[0] < -tol.zero_eig_rel:
@@ -144,12 +145,19 @@ class KrausSet:
         return [np.sqrt(w) * op for w, op in zip(self.weights, self.operators)]
 
 
+def as_states(rho, dim: int) -> np.ndarray:
+    """Coerce one ``dim x dim`` state or a stack ``(..., dim, dim)`` of them
+    to a complex ndarray, rejecting NaN/Inf entries and other shapes."""
+    rho = as_complex_stack(rho)
+    if rho.shape[-2:] != (dim, dim):
+        raise DimensionMismatch(f"state shape {rho.shape} does not match dim {dim}")
+    return rho
+
+
 def apply_map(m: LinearMap, rho) -> np.ndarray:
-    """Apply a map to a matrix through its Choi form."""
-    rho = as_complex_matrix(rho)
-    if rho.shape != (m.dim, m.dim):
-        raise DimensionMismatch(f"state shape {rho.shape} does not match dim {m.dim}")
-    return np.einsum("arbs,rs->ab", m.choi4, rho)
+    """Apply a map through its Choi form to one matrix, or to each matrix of
+    a stack ``(..., N, N)``."""
+    return np.einsum("arbs,...rs->...ab", m.choi4, as_states(rho, m.dim))
 
 
 def apply_kraus(kraus: KrausSet, rho, signs=None) -> np.ndarray:
@@ -225,6 +233,15 @@ def require_hermiticity_preserving(m: LinearMap, tol: ToleranceConfig = DEFAULT_
         raise NonHermitianChoi(f"Choi Hermiticity residual {res:.3e} exceeds tolerance")
 
 
+def require_tp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
+    """Raise :class:`NonHermitianChoi` unless the map preserves Hermiticity,
+    then :class:`NotTracePreserving` unless it preserves the trace."""
+    require_hermiticity_preserving(m, tol)
+    ok, res = check_tp(m, tol)
+    if not ok:
+        raise NotTracePreserving(f"trace-preservation residual {res:.3e} exceeds tolerance")
+
+
 def map_to_kraus(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     """Canonical decomposition of a Hermiticity-preserving map: the
     :func:`sign_split` of its Choi eigensystem."""
@@ -254,9 +271,7 @@ def check_hermiticity_preserving(m: LinearMap, tol: ToleranceConfig = DEFAULT_TO
     Returns ``(verdict, residual)``; the bound scales with the Choi norm."""
     key = ("hp", tol)
     if key not in m._verdicts:
-        residual = hermiticity_residual(m.choi)
-        bound = tol.residual_abs * max(1.0, frob(m.choi))
-        m._verdicts[key] = (residual <= bound, residual)
+        m._verdicts[key] = hermiticity_check(m.choi, tol)
     return m._verdicts[key]
 
 

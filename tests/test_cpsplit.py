@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from dynamap.cpsplit import cp_split, split_from_eigensystem, trace_functionals,
 from dynamap.entangled import ncp_family
 from dynamap.errors import NonHermitianChoi, NotTracePreserving, SingularJ
 from dynamap.generators import (
+    haar_unitary,
+    random_complex,
     random_density_matrix,
     random_tp_map,
     random_tp_map_with_kernel,
@@ -215,3 +219,74 @@ def test_trace_functionals_singular_plus_raises():
     s = split_from_eigensystem(m, np.array([1.0]), vec.reshape(4, 1))
     with pytest.raises(SingularJ):
         trace_functionals(s, samples=2, seed=0)
+
+
+def _annihilation_loops(split, samples, seed):
+    """Per-sample and per-dyad reference for ``verify_annihilation``."""
+    neg, kernel, support = split.negative_part, split.kernel_basis, split.support_basis
+    norm = np.linalg.norm
+    kernel_state = cross = mechanism = restriction = 0.0
+    for q in range(kernel.shape[1]):
+        phi = kernel[:, q]
+        kernel_state = max(kernel_state, norm(apply_map(neg, np.outer(phi, phi.conj()))))
+        for r in range(support.shape[1]):
+            psi = support[:, r]
+            cross = max(cross, norm(apply_map(neg, np.outer(phi, psi.conj()))))
+            cross = max(cross, norm(apply_map(neg, np.outer(psi, phi.conj()))))
+        for op in split.negative_kraus.operators:
+            mechanism = max(mechanism, norm(op @ phi))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        rho = random_density_matrix(split.dim, rng)
+        delta = apply_map(neg, rho) - apply_map(neg, split.support_projector @ rho)
+        restriction = max(restriction, norm(delta))
+    return kernel_state, cross, mechanism, restriction
+
+
+def _trace_functional_loops(split, samples, seed):
+    """Per-sample reference for ``trace_functionals``."""
+    pos, neg = split.positive_part, split.negative_part
+    rng = np.random.default_rng(seed)
+    res = [0.0] * 4
+    for _ in range(samples):
+        x = random_complex((split.dim, split.dim), rng)
+        gaps = (
+            np.trace(apply_map(pos, x)) - np.trace(split.plus_functional @ x),
+            np.trace(apply_map(neg, x)) - np.trace(split.minus_functional @ x),
+            np.trace(apply_map(pos, split.plus_inv @ x)) - np.trace(x),
+            np.trace(apply_map(neg, split.minus_pinv @ x)) - np.trace(split.support_projector @ x),
+        )
+        res = [max(r, abs(g)) for r, g in zip(res, gaps)]
+    return res
+
+
+@pytest.mark.parametrize("make", [random_tp_map_with_kernel, random_tp_map])
+def test_stacked_checks_match_per_sample_loops(make):
+    rng = np.random.default_rng(71)
+    s = cp_split(make(3, rng))
+    # a wrong kernel/support split gives residuals of order one in every family
+    q = haar_unitary(3, rng)
+    wrong = dataclasses.replace(s, kernel_basis=q[:, :1], support_basis=q[:, 1:])
+    for split in (s, wrong):
+        ann = verify_annihilation(split, samples=12, seed=5)
+        got = (ann.kernel_state_residual, ann.kernel_cross_residual,
+               ann.mechanism_residual, ann.support_restriction_residual)
+        tf = trace_functionals(split, samples=12, seed=5)
+        got_tf = (tf.plus_residual, tf.minus_residual, tf.plus_inverse_residual,
+                  tf.minus_support_residual)
+        want = _annihilation_loops(split, 12, 5) + tuple(_trace_functional_loops(split, 12, 5))
+        for a, b in zip(got + got_tf, want):
+            assert abs(a - b) <= 1e-15
+        assert ann.kernel_dim == split.kernel_basis.shape[1]
+        assert ann.support_dim == split.support_basis.shape[1]
+    assert min(got[:3]) > 1e-3
+
+
+@pytest.mark.parametrize("make", [random_tp_map_with_kernel, random_tp_map, transpose_map])
+def test_zero_samples_give_zero_sampled_residuals(make):
+    m = make(3) if make is transpose_map else make(3, np.random.default_rng(72))
+    s = cp_split(m)
+    assert verify_annihilation(s, samples=0).support_restriction_residual == 0.0
+    tf = trace_functionals(s, samples=0)
+    assert (tf.plus_residual, tf.minus_residual, tf.plus_inverse_residual,
+            tf.minus_support_residual, tf.max_residual) == (0.0,) * 5

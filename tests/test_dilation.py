@@ -12,8 +12,14 @@ from dynamap.channels import (
 )
 from dynamap.dilation import dilation_round_trip, kraus_to_unitary, unitarity_residual
 from dynamap.errors import DimensionMismatch, NotCompleteKraus
-from dynamap.generators import random_cptp_kraus, random_density_matrix
-from dynamap.maps import KrausSet, apply_kraus, kraus_to_map, map_to_kraus
+from dynamap.generators import (
+    random_cptp_kraus,
+    random_density_matrix,
+    random_tp_map,
+    random_tp_map_with_kernel,
+)
+from dynamap.linalg import partial_trace
+from dynamap.maps import KrausSet, apply_kraus, apply_map, kraus_to_map, map_to_kraus
 
 
 def test_single_identity_kraus():
@@ -128,3 +134,18 @@ def test_qr_completion_keeps_isometry_and_is_unitary(kraus):
     assert np.array_equal(dil.unitary[:, dil.ancilla_ref_index::d], _stacked_isometry(kraus))
     assert unitarity_residual(dil) <= 1e-12
     assert np.array_equal(dil.unitary, kraus_to_unitary(kraus).unitary)
+
+
+def test_round_trip_matches_per_sample_loop():
+    rng = np.random.default_rng(81)
+    kraus = random_cptp_kraus(3, 3, rng)
+    dil = kraus_to_unitary(kraus)
+    for m in (kraus_to_map(kraus), random_tp_map(3, rng), random_tp_map_with_kernel(3, rng)):
+        loop_rng, worst = np.random.default_rng(9), 0.0
+        for _ in range(10):
+            rho = random_density_matrix(3, loop_rng)
+            v = dil.unitary[:, dil.ancilla_ref_index :: dil.ancilla_dim]
+            evolved = partial_trace(v @ rho @ v.conj().T, (3, dil.ancilla_dim), "b")
+            worst = max(worst, np.linalg.norm(evolved - apply_map(m, rho)))
+        assert abs(dilation_round_trip(dil, m, samples=10, seed=9).max_residual - worst) <= 1e-15
+    assert dilation_round_trip(dil, m, samples=0).max_residual == 0.0

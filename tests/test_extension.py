@@ -299,3 +299,26 @@ def test_ncp_family_zoo_reconstructs():
             for _ in range(10):
                 _, residual = reconstruct(s, random_density_matrix(2, rng), variant)
                 assert residual <= 1e-9
+
+
+@pytest.mark.parametrize("variant", ["literal", "symmetric"])
+def test_reconstruct_on_a_stack_returns_the_largest_residual(variant):
+    rng = np.random.default_rng(61)
+    for s in (cp_split(random_tp_map(3, rng)), cp_split(random_tp_map_with_kernel(3, rng))):
+        states = np.array([random_density_matrix(3, rng) for _ in range(6)])
+        singles = [reconstruct(s, rho, variant) for rho in states]
+        result, residual = reconstruct(s, states, variant)
+        assert residual == max(r for _, r in singles)
+        assert np.array_equal(result, [out for out, _ in singles])
+        assert reconstruct(s, states[:0], variant)[1] == 0.0
+
+
+def test_unknown_variant_is_rejected():
+    s = cp_split(random_tp_map(2, np.random.default_rng(62)))
+    state = build_extension(s, np.eye(2) / 2)
+    with pytest.raises(ValueError, match="unknown variant"):
+        build_extension(s, np.eye(2) / 2, "sandwich")
+    with pytest.raises(ValueError, match="unknown variant"):
+        apply_sector_map(s, state, "sandwich")
+    with pytest.raises(ValueError, match="unknown variant"):
+        sector_choi_report(s, "sandwich")

@@ -305,3 +305,18 @@ def test_linear_map_rejects_bad_shapes():
         LinearMap(np.zeros((3, 3)))  # side not a perfect square
     with pytest.raises(DimensionMismatch):
         LinearMap(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_apply_map_on_a_stack_equals_per_state(n):
+    rng = np.random.default_rng(40 + n)
+    m = random_tp_map(n, rng)
+    states = np.array([random_density_matrix(n, rng) for _ in range(5)])
+    stacked = apply_map(m, states)
+    assert np.array_equal(stacked, [apply_map(m, rho) for rho in states])
+    assert np.array_equal(apply_map(m, states.reshape(5, 1, n, n))[:, 0], stacked)
+    assert apply_map(m, states[:0]).shape == (0, n, n)
+    with pytest.raises(DimensionMismatch):
+        apply_map(m, states[:, :, :-1])
+    with pytest.raises(ValueError):
+        apply_map(m, np.full((2, n, n), np.nan))
