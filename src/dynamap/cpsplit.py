@@ -111,7 +111,9 @@ class AnnihilationReport:
     """Residuals of the kernel-annihilation identities (all should vanish).
 
     ``kernel_state_residual``: negative part applied to kernel projectors.
-    ``kernel_cross_residual``: negative part applied to kernel/support dyads.
+    ``kernel_cross_residual``: negative part applied to the kernel/support
+    dyads ``|phi><psi|``; their adjoints ``|psi><phi|`` give the same norms
+    for a Hermiticity-preserving negative part.
     ``mechanism_residual``: norms of negative canonical operators acting on
     kernel vectors (the reason the two previous families vanish).
     ``support_restriction_residual``: difference between the negative part
@@ -219,8 +221,8 @@ def verify_annihilation(
         return kets[..., :, None] * bras[..., None, :].conj()
 
     kernel_state = max_frob(apply_map(neg, dyads(kernel, kernel)))
-    cross_dyads = np.stack((dyads(kernel[:, None], support), dyads(support, kernel[:, None])))
-    cross = max_frob(apply_map(neg, cross_dyads))
+    # N(X^dag) = N(X)^dag, so the |support><kernel| dyads repeat these norms
+    cross = max_frob(apply_map(neg, dyads(kernel[:, None], support)))
     # every negative operator on every kernel vector, as a stack of columns
     ops = np.reshape(split.negative_kraus.operators, (-1, 1, n, n))
     mechanism = max_frob(ops @ kernel[:, :, None])

@@ -16,6 +16,16 @@ string forms are accepted.  Documents may carry an optional nonnegative
 integer ``seed`` and an optional ``tolerances`` object overriding
 ``zero_eig_rel`` and ``residual_abs``.
 
+Each array (map ``data``, the Kraus stack, ``state``, ``unitary``) is
+converted by one ``np.array`` call on the loaded lists.  The result is
+kept only when it is a real or integer array of the expected shape with
+a trailing pair axis and finite entries; strings, ``null``, ragged rows,
+out-of-range integers, ``NaN`` and infinities all fail that test.  Every
+other array goes through a per-scalar walker, which alone reports errors
+with the JSON path of the first offending entry.  ``np.array`` reads
+``true``/``false`` as numbers, so a document whose bytes contain either
+literal is walked in full.  Both paths give bit-identical arrays.
+
 Reports are serialized by :func:`canonical_json`: keys sorted, no
 whitespace, floats rendered with 17 significant digits.  Report values may
 be numpy arrays; they are written as nested lists, complex entries as the
@@ -84,26 +94,39 @@ def _complex_scalar(node, path):
     return complex(_real_number(node[0], f"{path}[0]"), _real_number(node[1], f"{path}[1]"))
 
 
-def _vector(node, path, length):
+def _walk(node, path, shape):
+    """Check ``node`` scalar by scalar against ``shape``, naming the first offense."""
+    if not shape:
+        return _complex_scalar(node, path)
+    rows = len(shape) > 1
     if not isinstance(node, list):
-        raise DocumentError(path, "expected an array")
-    if len(node) != length:
-        raise DocumentError(path, f"expected length {length}, got {len(node)}")
-    return np.array(
-        [_complex_scalar(entry, f"{path}[{i}]") for i, entry in enumerate(node)],
-        dtype=complex,
-    )
+        raise DocumentError(path, "expected an array of rows" if rows else "expected an array")
+    if len(node) != shape[0]:
+        raise DocumentError(
+            path,
+            f"expected {shape[0]} rows, got {len(node)}" if rows
+            else f"expected length {shape[0]}, got {len(node)}",
+        )
+    return [_walk(entry, f"{path}[{i}]", shape[1:]) for i, entry in enumerate(node)]
 
 
-def _matrix(node, path, rows, cols):
-    if not isinstance(node, list):
-        raise DocumentError(path, "expected an array of rows")
-    if len(node) != rows:
-        raise DocumentError(path, f"expected {rows} rows, got {len(node)}")
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(node):
-        out[i, :] = _vector(row, f"{path}[{i}]", cols)
-    return out
+def _complex_array(node, path, shape, fast):
+    """A complex array of the given shape from nested ``[re, im]`` pairs.
+
+    With ``fast``, one ``np.array`` call converts the whole node, and its
+    result is taken when it is a real or integer array of shape
+    ``shape + (2,)`` with finite entries.  Anything else, valid or not,
+    goes through :func:`_walk`, which alone builds error messages.
+    """
+    if fast:
+        try:
+            pairs = np.array(node)
+        except (ValueError, OverflowError):  # ragged rows, out-of-range integers
+            pairs = None
+        if (pairs is not None and pairs.dtype.kind in "fi" and pairs.shape == shape + (2,)
+                and np.isfinite(pairs).all()):
+            return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    return np.array(_walk(node, path, shape), dtype=complex)
 
 
 def _positive_int(node, path):
@@ -137,6 +160,8 @@ def parse_document(raw: bytes) -> ParsedDocument:
         raise DocumentError("$", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("$", "document must be a JSON object")
+    # np.array reads true/false as 1/0 among numbers; such documents are walked
+    fast = b"true" not in raw and b"false" not in raw
 
     kind = doc.get("kind")
     if kind not in ALL_KINDS:
@@ -158,7 +183,7 @@ def parse_document(raw: bytes) -> ParsedDocument:
             raise DocumentError("$.data", "joint_dynamics data must be an object")
         if "state" not in data:
             raise DocumentError("$.data.state", "missing state amplitudes")
-        amps = _vector(data["state"], "$.data.state", ns * ne)
+        amps = _complex_array(data["state"], "$.data.state", (ns * ne,), fast)
         norm = np.linalg.norm(amps)
         if norm < 1e-12:
             raise DocumentError("$.data.state", "state amplitudes are all zero")
@@ -168,7 +193,7 @@ def parse_document(raw: bytes) -> ParsedDocument:
             raise DocumentError("$.data.state", str(exc)) from None
         unitary = None
         if "unitary" in data and data["unitary"] is not None:
-            unitary = _matrix(data["unitary"], "$.data.unitary", ns * ne, ns * ne)
+            unitary = _complex_array(data["unitary"], "$.data.unitary", (ns * ne,) * 2, fast)
         return ParsedDocument(kind, state=state, unitary=unitary, seed=seed, tol=tol,
                               digest=digest)
 
@@ -178,7 +203,7 @@ def parse_document(raw: bytes) -> ParsedDocument:
     if kind == "kraus":
         if not isinstance(data, list) or not data:
             raise DocumentError("$.data", "kraus data must be a nonempty list of matrices")
-        ops = [_matrix(mat, f"$.data[{i}]", dim, dim) for i, mat in enumerate(data)]
+        ops = _complex_array(data, "$.data", (len(data), dim, dim), fast)
         weights = None
         if "weights" in doc and doc["weights"] is not None:
             wnode = doc["weights"]
@@ -192,7 +217,7 @@ def parse_document(raw: bytes) -> ParsedDocument:
                               seed=seed, tol=tol, digest=digest)
 
     side = dim * dim
-    matrix = _matrix(data, "$.data", side, side)
+    matrix = _complex_array(data, "$.data", (side, side), fast)
     if kind == "superop_a":
         linear_map = from_a_form(matrix)
     else:  # choi and superop_b are synonyms

@@ -44,6 +44,7 @@ from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_complex_matrix, frob, kron, max_frob
 from .maps import (
     DensityMatrix,
+    KrausSet,
     a_form,
     apply_map,
     as_states,
@@ -160,10 +161,33 @@ def reconstruct(split: CPSplit, rho, variant: str = "literal"):
 
 
 def _sector_a_forms(split: CPSplit, variant: str):
-    """A-form matrices of the plus and minus sector maps."""
+    """A-form matrices of the plus and minus sector maps.
+
+    Each is ``a_form(part) @ kron(left, right.T)``; row ``i`` of that
+    product, read as an N x N matrix ``R_i``, is ``left.T @ R_i @ right.T``,
+    so one stacked product builds it without the ``kron``.
+    """
+    n = split.dim
     factors = _sector_factors(split, variant, inverse=True)
     parts = (split.positive_part, split.negative_part)
-    return tuple(a_form(part) @ kron(left, right.T) for part, (left, right) in zip(parts, factors))
+    return tuple(
+        (left.T @ a_form(part).reshape(-1, n, n) @ right.T).reshape(n * n, n * n)
+        for part, (left, right) in zip(parts, factors)
+    )
+
+
+def _gram_min_eig(kraus: KrausSet, root: np.ndarray) -> float:
+    """Minimum eigenvalue of the Choi matrix ``W W^dag`` of
+    ``X -> sum_i w_i (M_i root) X (M_i root)^dag``.
+
+    The columns of W are ``sqrt(w_i) vec(M_i root)``; the l x l Gram matrix
+    ``W^dag W`` has the same nonzero spectrum, and the N^2 - l eigenvalues
+    it lacks are zero.
+    """
+    w = np.sqrt(kraus.weights)[:, None, None] * (np.asarray(kraus.operators) @ root)
+    w = w.reshape(len(kraus), -1)
+    eigs = np.linalg.eigvalsh(w.conj() @ w.T)
+    return float(eigs[0] if len(eigs) == w.shape[1] else min(eigs[0], 0.0))
 
 
 @dataclass(frozen=True)
@@ -175,7 +199,11 @@ class SectorChoiReport:
     The ``full_*`` fields describe the map on the extended space, sector
     maps on the diagonal blocks and zero on the cross blocks.  Its Choi
     matrix is the direct sum of the sector Choi matrices padded with zeros,
-    so they follow from the sector statistics without building it."""
+    so they follow from the sector statistics without building it.
+
+    In the ``symmetric`` variant the minima come from the l x l Gram matrix
+    of the sector's l Kraus operators, so they are exactly 0.0 when
+    l < N^2."""
 
     variant: str
     plus_hermiticity_residual: float
@@ -198,9 +226,17 @@ def sector_choi_report(
     full_ok = full_res <= tol.residual_abs * max(1.0, math.hypot(*(frob(m.choi) for m in sectors)))
     # the eigensolver reads one triangle, so a sector that fails its own
     # Hermiticity verdict still has a spectrum inside a Hermitian full Choi
-    min_eigs = [
-        float(m.eigensystem[0][-1]) if ok or full_ok else None for m, ok in zip(sectors, oks)
-    ]
+    spectral = [ok or full_ok for ok in oks]
+    if variant == "symmetric":
+        # a sector evolves by the Kraus operators L_i @ root, so its Choi is
+        # W W^dag and the small Gram matrix W^dag W carries its spectrum
+        factors = _sector_factors(split, variant, inverse=True)
+        kraus = (split.positive_kraus, split.negative_kraus)
+        min_eigs = [_gram_min_eig(k, root) if want else None
+                    for want, k, (root, _) in zip(spectral, kraus, factors)]
+    else:
+        min_eigs = [float(m.eigensystem[0][-1]) if want else None
+                    for want, m in zip(spectral, sectors)]
     full_min = None
     if full_ok:
         # two sectors leave zero rows and columns in the padded full Choi

@@ -22,9 +22,14 @@ from dynamap.extension import (
     reconstruct,
     sector_choi_report,
 )
-from dynamap.generators import random_density_matrix, random_tp_map, random_tp_map_with_kernel
+from dynamap.generators import (
+    random_cptp_kraus,
+    random_density_matrix,
+    random_tp_map,
+    random_tp_map_with_kernel,
+)
 from dynamap.linalg import DEFAULT_TOL, frob, hermiticity_residual, partial_trace
-from dynamap.maps import LinearMap, apply_map, check_cp, from_a_form
+from dynamap.maps import LinearMap, apply_map, check_cp, from_a_form, kraus_to_map
 
 
 def test_product_extension_blocks():
@@ -322,3 +327,51 @@ def test_unknown_variant_is_rejected():
         apply_sector_map(s, state, "sandwich")
     with pytest.raises(ValueError, match="unknown variant"):
         sector_choi_report(s, "sandwich")
+
+
+def _kron_a_forms(split, variant):
+    """Reference sector A-forms: the part's A-form times ``kron(left, right.T)``."""
+    from dynamap.extension import _sector_factors
+    from dynamap.linalg import kron
+    from dynamap.maps import a_form
+
+    factors = _sector_factors(split, variant, inverse=True)
+    parts = (split.positive_part, split.negative_part)
+    return [a_form(part) @ kron(left, right.T) for part, (left, right) in zip(parts, factors)]
+
+
+def _sector_maps():
+    rng = np.random.default_rng(14)
+    return [random_tp_map(3, rng), random_tp_map_with_kernel(3, rng), transpose_map(3),
+            amplitude_damping_map(0.3), kraus_to_map(random_cptp_kraus(3, 9, rng))]
+
+
+@pytest.mark.parametrize("variant", ["literal", "symmetric"])
+def test_sandwich_a_forms_match_the_kron_product(variant):
+    from dynamap.extension import _sector_a_forms
+
+    for m in _sector_maps():
+        s = cp_split(m)
+        for got, want in zip(_sector_a_forms(s, variant), _kron_a_forms(s, variant)):
+            assert np.abs(got - want).max() <= 1e-14
+
+
+def test_symmetric_gram_minima_match_the_sector_choi_spectra():
+    seen_full_rank = False
+    for m in _sector_maps():
+        s = cp_split(m)
+        rep = sector_choi_report(s, "symmetric")
+        reported = (rep.plus_min_eig, rep.minus_min_eig)
+        for a, kraus, got in zip(_kron_a_forms(s, "symmetric"),
+                                 (s.positive_kraus, s.negative_kraus), reported):
+            if not len(kraus):
+                assert got is None
+                continue
+            want = np.linalg.eigvalsh(from_a_form(a).choi)[0]
+            assert abs(got - want) <= 1e-12
+            if len(kraus) < s.dim ** 2:
+                assert got == 0.0  # the zeros the Gram matrix lacks
+            else:
+                seen_full_rank = True
+                assert got > 1e-3  # a Gram eigenvalue, not the padded zero
+    assert seen_full_rank
