@@ -42,14 +42,7 @@ from .linalg import (
     spectral_power,
     zero_cut,
 )
-from .maps import (
-    KrausSet,
-    LinearMap,
-    apply_map,
-    require_tp,
-    sign_split,
-    weighted_choi,
-)
+from .maps import KrausSet, LinearMap, apply_map, kraus_to_map, require_tp, sign_split
 from .generators import random_complex, random_density_matrix, seeded_stack
 
 
@@ -97,7 +90,7 @@ class CPSplit:
 
     def _plus_power(self, power: float) -> np.ndarray:
         w = self.plus_eigenvalues
-        if w[0] <= self.tol.zero_eig_rel * max(1.0, w[-1]):
+        if w[0] <= zero_cut(w, self.tol):
             raise SingularJ(f"plus functional min eigenvalue {w[0]:.3e}")
         return spectral_power(w, self.plus_eigenvectors, power)
 
@@ -167,9 +160,7 @@ def split_from_eigensystem(
     """
     n = m.dim
     positive_kraus, negative_kraus = sign_split(values, vectors, n, tol)
-    positive_part, negative_part = (
-        LinearMap(weighted_choi(k.operators, k.weights, n)) for k in (positive_kraus, negative_kraus)
-    )
+    positive_part, negative_part = (kraus_to_map(k) for k in (positive_kraus, negative_kraus))
     # Tr[part(X)] = Tr[F X] makes F the transposed output partial trace
     plus_functional, minus_functional = (
         partial_trace(part.choi, (n, n), "a").T for part in (positive_part, negative_part)
@@ -224,8 +215,7 @@ def verify_annihilation(
     # N(X^dag) = N(X)^dag, so the |support><kernel| dyads repeat these norms
     cross = max_frob(apply_map(neg, dyads(kernel[:, None], support)))
     # every negative operator on every kernel vector, as a stack of columns
-    ops = np.reshape(split.negative_kraus.operators, (-1, 1, n, n))
-    mechanism = max_frob(ops @ kernel[:, :, None])
+    mechanism = max_frob(split.negative_kraus.operators[:, None] @ kernel[:, :, None])
     rhos = seeded_stack(random_density_matrix, n, samples, seed)
     restriction = max_frob(apply_map(neg, rhos) - apply_map(neg, split.support_projector @ rhos))
 

@@ -60,13 +60,12 @@ def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> Uni
     identity within tolerance; callers must not dilate maps that are not
     completely positive and trace preserving.
     """
-    ops = kraus.folded_operators()
-    if not ops:
+    d, n, _ = kraus.operators.shape
+    if not d:
         raise NotCompleteKraus("empty Kraus set")
-    n, d = kraus.dim, len(ops)
     total = n * d
     # joint index (system row r, ancilla row i) -> r * d + i; ref ancilla 0
-    isometry = np.stack(ops, axis=1).reshape(total, n)
+    isometry = kraus.folded_operators().transpose(1, 0, 2).reshape(total, n)
     res = frob(isometry.conj().T @ isometry - np.eye(n))
     if res > tol.residual_abs:
         raise NotCompleteKraus(f"completeness residual {res:.3e} exceeds tolerance")

@@ -213,7 +213,12 @@ def parse_document(raw: bytes) -> ParsedDocument:
             if any(w <= 0 for w in weights):
                 raise DocumentError("$.weights", "weights must be positive")
         kraus = KrausSet(ops, weights)
-        return ParsedDocument(kind, linear_map=kraus_to_map(kraus), kraus=kraus,
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                linear_map = kraus_to_map(kraus)
+        except ValueError as exc:  # finite entries whose Choi matrix overflows
+            raise DocumentError("$.data", f"Choi matrix overflows: {exc}") from None
+        return ParsedDocument(kind, linear_map=linear_map, kraus=kraus,
                               seed=seed, tol=tol, digest=digest)
 
     side = dim * dim
@@ -226,22 +231,19 @@ def parse_document(raw: bytes) -> ParsedDocument:
 
 
 def _real_parts(m) -> np.ndarray:
+    """A float array of ``m``, complex entries as a trailing ``[re, im]`` axis."""
     m = np.asarray(m)
     if np.iscomplexobj(m):
         m = np.stack((m.real, m.imag), axis=-1)
     return m.astype(float)
 
 
-def encode_matrix(m) -> list:
-    """Encode an array as nested lists of floats, complex entries as [re, im]."""
-    return _real_parts(m).tolist()
-
-
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, compact, 17-significant-digit floats.
 
-    Floats and numpy arrays are written as :func:`encode_matrix` encodes
-    them, checked once for finiteness and formatted in one pass.
+    Floats and numpy arrays are written as nested lists of the
+    :func:`_real_parts` encoding, checked once for finiteness and formatted
+    in one pass.
     """
     if value is None:
         return "null"

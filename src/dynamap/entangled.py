@@ -98,8 +98,8 @@ def extension_witness(
     can send the reduced state to the joint projector.
     """
     rho = phi.reduced_system()
-    weights = np.linalg.eigvalsh(rho)[::-1]
-    weights = np.clip(weights, 0.0, None)
+    reduced = DensityMatrix(rho, tol)
+    weights = np.clip(reduced.eigenvalues[::-1], 0.0, None)
     purity = float(np.real(np.trace(rho @ rho)))
     rank = int(np.sum(weights > zero_cut(weights, tol)))
     if rank >= 2:
@@ -121,7 +121,7 @@ def extension_witness(
             "the standard product extension is positive on all states"
         )
     return WitnessCertificate(
-        reduced_state=DensityMatrix(rho, tol),
+        reduced_state=reduced,
         purity=purity,
         schmidt_rank=rank,
         verdict=verdict,

@@ -184,7 +184,7 @@ def _gram_min_eig(kraus: KrausSet, root: np.ndarray) -> float:
     ``W^dag W`` has the same nonzero spectrum, and the N^2 - l eigenvalues
     it lacks are zero.
     """
-    w = np.sqrt(kraus.weights)[:, None, None] * (np.asarray(kraus.operators) @ root)
+    w = np.sqrt(kraus.weights)[:, None, None] * (kraus.operators @ root)
     w = w.reshape(len(kraus), -1)
     eigs = np.linalg.eigvalsh(w.conj() @ w.T)
     return float(eigs[0] if len(eigs) == w.shape[1] else min(eigs[0], 0.0))

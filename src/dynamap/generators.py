@@ -21,7 +21,8 @@ Two generators deserve a note:
 import numpy as np
 
 from .entangled import JointPureState
-from .maps import KrausSet, LinearMap
+from .linalg import partial_trace
+from .maps import KrausSet, LinearMap, weighted_choi
 
 
 def random_complex(shape, rng: np.random.Generator) -> np.ndarray:
@@ -59,28 +60,22 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _traced_over_output(choi: np.ndarray, dim: int) -> np.ndarray:
-    return np.einsum("aras->rs", choi.reshape(dim, dim, dim, dim))
-
-
 def random_tp_map(dim: int, rng: np.random.Generator, n_kraus: int | None = None) -> LinearMap:
     """Random trace-preserving Hermiticity-preserving map (generically NCP)."""
     if n_kraus is None:
         n_kraus = dim
     while True:
-        base = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for _ in range(n_kraus):
-            v = random_complex((dim, dim), rng).reshape(-1)
-            base += np.outer(v, v.conj())
-        g_base = _traced_over_output(base, dim)
+        ops = np.array([random_complex((dim, dim), rng) for _ in range(n_kraus)])
+        base = weighted_choi(ops, np.ones(n_kraus))
+        g_base = partial_trace(base, (dim, dim), "a")
         lam = np.linalg.eigvalsh(g_base)
         if lam[-1] <= 0.0 or lam[0] < 1e-3 * lam[-1]:
             continue  # nearly singular output trace; redraw
         perturb = random_hermitian(dim * dim, rng)
-        g_pert = _traced_over_output(perturb, dim)
+        g_pert = partial_trace(perturb, (dim, dim), "a")
         eps = 0.5 * lam[0] / max(np.linalg.norm(g_pert, 2), 1e-300)
         choi = base + eps * perturb
-        g = _traced_over_output(choi, dim)
+        g = partial_trace(choi, (dim, dim), "a")
         w, v = np.linalg.eigh(g)
         x = (v / np.sqrt(w)) @ v.conj().T
         c = np.kron(np.eye(dim), x)
@@ -90,7 +85,7 @@ def random_tp_map(dim: int, rng: np.random.Generator, n_kraus: int | None = None
 def random_cptp_kraus(dim: int, n_ops: int, rng: np.random.Generator) -> KrausSet:
     """Random CPTP map as Kraus operators sliced from a Haar isometry."""
     q, _ = np.linalg.qr(random_complex((dim * n_ops, dim), rng))
-    return KrausSet([q[i * dim:(i + 1) * dim, :] for i in range(n_ops)])
+    return KrausSet(q.reshape(n_ops, dim, dim))
 
 
 def random_tp_map_with_kernel(dim: int, rng: np.random.Generator) -> LinearMap:
@@ -99,7 +94,7 @@ def random_tp_map_with_kernel(dim: int, rng: np.random.Generator) -> LinearMap:
         phi = random_pure_state(dim, rng)
         proj = np.eye(dim) - np.outer(phi, phi.conj())
         n_pos = dim * dim - 2
-        pos_ops = [random_complex((dim, dim), rng) @ proj for _ in range(n_pos)]
+        pos_ops = np.array([random_complex((dim, dim), rng) @ proj for _ in range(n_pos)])
         neg_op = random_complex((dim, dim), rng) @ proj
 
         gram_pos = sum(op.conj().T @ op for op in pos_ops)
@@ -112,20 +107,16 @@ def random_tp_map_with_kernel(dim: int, rng: np.random.Generator) -> LinearMap:
         keep = w > 1e-12 * w[-1]
         x = (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].conj().T
 
-        ops = [op @ x for op in pos_ops]
-        ops.append(np.outer(random_pure_state(dim, rng), phi.conj()))
-        neg_final = np.sqrt(c) * (neg_op @ x)
-
-        choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for op in ops:
-            vec = op.reshape(-1)
-            choi += np.outer(vec, vec.conj())
-        vec = neg_final.reshape(-1)
-        choi -= np.outer(vec, vec.conj())
+        # positive operators, one supported on phi, then the negative one
+        ops = np.concatenate([
+            pos_ops @ x,
+            [np.outer(random_pure_state(dim, rng), phi.conj()), np.sqrt(c) * (neg_op @ x)],
+        ])
+        choi = weighted_choi(ops, np.r_[np.ones(n_pos + 1), -1.0])
 
         eigs = np.linalg.eigvalsh(choi)
         scale = np.abs(eigs).max()
-        tp_res = np.linalg.norm(_traced_over_output(choi, dim) - np.eye(dim))
+        tp_res = np.linalg.norm(partial_trace(choi, (dim, dim), "a") - np.eye(dim))
         if eigs[0] < -1e-8 * scale and tp_res < 1e-12:
             return LinearMap(choi)
     raise RuntimeError("failed to generate a kernel-deficient map")

@@ -15,12 +15,17 @@ from .errors import DimensionMismatch, NonHermitianInput, NotPSD
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds shared across the package.
+    """Numerical thresholds shared across the package, under one policy.
 
-    ``zero_eig_rel`` is the relative cutoff below which an eigenvalue is
-    treated as zero (relative to the largest absolute eigenvalue of the same
-    matrix, so behavior is scale invariant).  ``residual_abs`` bounds the
-    Frobenius norm of residuals in identity checks.
+    Every spectral decision (sign, rank, support, PSD, singularity) uses
+    :func:`zero_cut`: ``zero_eig_rel`` times the largest absolute eigenvalue
+    of the same spectrum, so it is scale invariant.  ``residual_abs`` bounds
+    Frobenius residuals.  A Hermiticity residual is bounded by it times
+    ``max(1, ‖m‖)``, because its target is ``m`` itself.  Residuals against
+    targets of fixed scale stay absolute, because rescaling the input
+    cannot rescale the target: the identity in ``check_tp``, the unit norm
+    of a joint state, Kraus completeness, unitarity, unit trace, and the
+    sampled identities of normalized maps.
     """
 
     zero_eig_rel: float = 1e-10

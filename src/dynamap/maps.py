@@ -85,7 +85,8 @@ class LinearMap:
 
 
 class DensityMatrix:
-    """A Hermitian, positive semidefinite, unit-trace matrix."""
+    """A Hermitian, positive semidefinite, unit-trace matrix; ``eigenvalues``
+    holds its spectrum, ascending."""
 
     def __init__(self, matrix, tol: ToleranceConfig = DEFAULT_TOL):
         matrix = as_complex_matrix(matrix)
@@ -94,12 +95,13 @@ class DensityMatrix:
         if not hermiticity_check(matrix, tol)[0]:
             raise ValueError("density matrix is not Hermitian within tolerance")
         eigs = np.linalg.eigvalsh(matrix)
-        if eigs[0] < -tol.zero_eig_rel:
+        if eigs[0] < -zero_cut(eigs, tol):
             raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
         tr = complex(np.trace(matrix))
         if abs(tr - 1.0) > tol.residual_abs:
             raise ValueError(f"density matrix trace {tr} differs from 1")
         self.matrix = matrix
+        self.eigenvalues = eigs
         self.dim = matrix.shape[0]
 
     def __repr__(self):
@@ -109,40 +111,36 @@ class DensityMatrix:
 class KrausSet:
     """A weighted family of same-sized operators realizing a CP map.
 
-    ``weights`` are positive reals (default all one); the induced map is
-    ``rho -> sum_i w_i M_i rho M_i^dag``.  Completeness
+    ``operators`` is one complex ``(k, N, N)`` stack (``(0, N, N)`` keeps
+    ``N`` for an empty set) and ``weights`` are positive reals (default all
+    one); the induced map is ``rho -> sum_i w_i M_i rho M_i^dag``.  Completeness
     ``sum_i w_i M_i^dag M_i = 1`` holds exactly when that map is trace
     preserving; it is checked by consumers, never assumed here.
     """
 
     def __init__(self, operators, weights=None):
-        ops = [as_complex_matrix(op) for op in operators]
-        if ops:
-            dim = ops[0].shape[0]
-            for op in ops:
-                if op.shape != (dim, dim):
-                    raise DimensionMismatch(
-                        f"all Kraus operators must be {dim}x{dim}, got {op.shape}"
-                    )
-        else:
-            dim = 0
-        if weights is None:
-            weights = np.ones(len(ops))
-        weights = np.asarray(weights, dtype=float)
+        try:
+            ops = np.array(operators, dtype=complex)
+        except ValueError:  # ragged nesting
+            raise DimensionMismatch("Kraus operators must all have one square shape") from None
+        ops = as_complex_stack(ops.reshape(0, 0, 0) if ops.shape == (0,) else ops)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatch(f"Kraus operators must be a (k, N, N) stack, got {ops.shape}")
+        weights = np.ones(len(ops)) if weights is None else np.asarray(weights, dtype=float)
         if weights.shape != (len(ops),):
             raise DimensionMismatch("weights must match the number of operators")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
         self.operators = ops
         self.weights = weights
-        self.dim = dim
+        self.dim = ops.shape[1]
 
     def __len__(self):
         return len(self.operators)
 
-    def folded_operators(self):
-        """Operators with the weights absorbed, ``sqrt(w_i) * M_i``."""
-        return [np.sqrt(w) * op for w, op in zip(self.weights, self.operators)]
+    def folded_operators(self) -> np.ndarray:
+        """The stack with the weights absorbed, ``sqrt(w_i) * M_i``."""
+        return np.sqrt(self.weights)[:, None, None] * self.operators
 
 
 def as_states(rho, dim: int) -> np.ndarray:
@@ -190,10 +188,11 @@ def from_a_form(a) -> LinearMap:
     return LinearMap(_reshuffle(as_complex_matrix(a)))
 
 
-def weighted_choi(operators, weights, dim: int) -> np.ndarray:
-    """``sum_i w_i vec(M_i) vec(M_i)^dag`` as one matrix product; ``dim``
-    fixes the shape when there are no operators."""
-    v = np.reshape(np.asarray(operators, dtype=complex), (len(operators), dim * dim))
+def weighted_choi(operators: np.ndarray, weights) -> np.ndarray:
+    """``sum_i w_i vec(M_i) vec(M_i)^dag`` over a ``(k, N, N)`` stack as one
+    matrix product; signed weights give a difference of CP maps."""
+    k, n, _ = operators.shape
+    v = operators.reshape(k, n * n)
     return (v.T * np.asarray(weights, dtype=float)) @ v.conj()
 
 
@@ -208,7 +207,7 @@ def kraus_to_map(kraus: KrausSet, signs=None) -> LinearMap:
     signs = np.asarray(signs, dtype=float)
     if signs.shape != (len(kraus),):
         raise DimensionMismatch("signs must match the number of operators")
-    return LinearMap(weighted_choi(kraus.operators, signs * kraus.weights, kraus.dim))
+    return LinearMap(weighted_choi(kraus.operators, signs * kraus.weights))
 
 
 def sign_split(values, vectors, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
@@ -223,7 +222,7 @@ def sign_split(values, vectors, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
     ops = np.asarray(vectors, dtype=complex).T.reshape(-1, dim, dim)
     cut = zero_cut(values, tol)
     pos, neg = values > cut, values < -cut
-    return KrausSet(list(ops[pos]), values[pos]), KrausSet(list(ops[neg]), -values[neg])
+    return KrausSet(ops[pos], values[pos]), KrausSet(ops[neg], -values[neg])
 
 
 def require_hermiticity_preserving(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):

@@ -286,12 +286,12 @@ def test_samples_below_one_rejected(capsys):
 
 
 def test_decompose_eigendecomposes_source_choi_once(capsys, monkeypatch, tmp_path):
-    from dynamap.docio import encode_matrix
+    from dynamap.docio import canonical_json
     from dynamap.generators import random_tp_map
 
     m = random_tp_map(3, np.random.default_rng(2))
     path = tmp_path / "n3.json"
-    path.write_text(json.dumps({"kind": "choi", "dim": 3, "data": encode_matrix(m.choi)}))
+    path.write_text(canonical_json({"kind": "choi", "dim": 3, "data": m.choi}))
     seen = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -391,6 +391,49 @@ def test_oversized_or_deep_json_is_invalid_input(capsys, tmp_path, document, pat
     _assert_clean_usage_error(code, err)
     assert err.startswith(f"error: invalid input: {path}: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify", "dilate"])
+def test_kraus_document_whose_choi_overflows_is_invalid_input(capsys, tmp_path, command):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text('{"kind": "kraus", "dim": 1, "data": [[[[1e200, 0]]]]}')
+    code, out, err = run_cli(capsys, command, str(doc_path))
+    _assert_clean_usage_error(code, err)
+    assert err.startswith("error: invalid input: $.data: ")
+    assert err.count("\n") == 1 and out == ""
+
+
+def test_witness_eigendecomposes_reduced_state_once(capsys, monkeypatch):
+    from dynamap.docio import parse_document
+
+    doc = parse_document((FIXTURES / "bell_cnot_joint.json").read_bytes())
+    reduced = doc.state.reduced_system()
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def recording(a, *args, _solver=solver, **kwargs):
+            seen.append(np.array(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    code, _, _ = run_cli(capsys, "witness", fix("bell_cnot_joint.json"))
+    assert code == 0
+    assert len(seen) == 1 and np.array_equal(seen[0], reduced)
+
+
+def test_fixture_reports_cover_every_fixture_and_command(tmp_path):
+    sys.path.insert(0, str(Path(__file__).parent))
+    try:
+        import fixture_reports
+    finally:
+        sys.path.pop(0)
+    codes = fixture_reports.write_reports(tmp_path)
+    assert len(codes) == len(list(FIXTURES.glob("*.json"))) * len(fixture_reports.COMMANDS)
+    assert set(codes.values()) <= {0, 1, 2, 3}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(codes)
+    report = (tmp_path / "transpose_choi.decompose.txt").read_text()
+    assert report.startswith("exit: 0\n--- stderr\n--- stdout\n{")
 
 
 _EDGE_FLOATS = [-0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0, 2.0 ** 52 + 1.0]

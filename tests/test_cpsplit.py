@@ -14,6 +14,7 @@ from dynamap.generators import (
     random_tp_map,
     random_tp_map_with_kernel,
 )
+from dynamap.linalg import zero_cut
 from dynamap.maps import LinearMap, apply_map
 
 
@@ -219,6 +220,17 @@ def test_trace_functionals_singular_plus_raises():
     s = split_from_eigensystem(m, np.array([1.0]), vec.reshape(4, 1))
     with pytest.raises(SingularJ):
         trace_functionals(s, samples=2, seed=0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_plus_power_raises_at_the_zero_cut_edge(scale):
+    split = cp_split(transpose_map(2))
+    cut = zero_cut([scale], split.tol)
+    at_edge = dataclasses.replace(split, plus_eigenvalues=np.array([cut, scale]))
+    with pytest.raises(SingularJ):
+        at_edge.plus_inv
+    above = dataclasses.replace(split, plus_eigenvalues=np.array([cut * (1 + 1e-6), scale]))
+    assert np.all(np.isfinite(above.plus_inv_sqrt))
 
 
 def _annihilation_loops(split, samples, seed):

@@ -13,7 +13,10 @@ from dynamap.channels import (
 )
 from dynamap.cpsplit import cp_split
 from dynamap.errors import DimensionMismatch, NonHermitianChoi
-from dynamap.generators import random_density_matrix, random_tp_map
+from dynamap.channels import amplitude_damping_kraus
+from dynamap.docio import parse_document
+from dynamap.generators import random_cptp_kraus, random_density_matrix, random_tp_map
+from dynamap.linalg import DEFAULT_TOL, zero_cut
 from dynamap.maps import (
     DensityMatrix,
     KrausSet,
@@ -27,6 +30,8 @@ from dynamap.maps import (
     from_a_form,
     kraus_to_map,
     map_to_kraus,
+    sign_split,
+    weighted_choi,
 )
 
 
@@ -262,6 +267,94 @@ def test_kraus_set_validation():
         KrausSet([np.eye(2)], [-1.0])
     with pytest.raises(DimensionMismatch):
         KrausSet([np.eye(2)], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("operators", [
+    [np.eye(2), np.eye(3)],
+    [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]],
+    [[[1, 0], [0]]],
+    [np.ones((2, 3))],
+    np.eye(2),
+    np.zeros((2, 2, 2, 2)),
+], ids=["sizes", "nested_sizes", "ragged_row", "non_square", "one_matrix", "four_axes"])
+def test_kraus_set_rejects_ragged_or_non_stack_input(operators):
+    with pytest.raises(DimensionMismatch):
+        KrausSet(operators)
+
+
+def test_kraus_set_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="non-finite"):
+        KrausSet([[[np.nan, 0], [0, 1]]])
+
+
+_TWO_OPERATOR_DOCUMENT = b'{"kind": "kraus", "dim": 1, "data": [[[[2, 0]]], [[[0, 1]]]]}'
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KrausSet([np.eye(2), np.diag([1, 0])]),
+    lambda: KrausSet([[[1, 0], [0, 1]]]),
+    lambda: KrausSet(np.zeros((0, 3, 3))),
+    lambda: KrausSet([]),
+    lambda: amplitude_damping_kraus(0.3),
+    lambda: random_cptp_kraus(3, 4, np.random.default_rng(1)),
+    lambda: map_to_kraus(transpose_map(3))[1],
+    lambda: parse_document(_TWO_OPERATOR_DOCUMENT).kraus,
+], ids=["arrays", "nested_lists", "empty_stack", "empty_list", "channel", "generator",
+        "sign_split", "document"])
+def test_kraus_set_operators_are_one_complex_stack(make):
+    kraus = make()
+    ops = kraus.operators
+    assert isinstance(ops, np.ndarray) and ops.dtype == complex and ops.ndim == 3
+    assert ops.shape == (len(kraus), kraus.dim, kraus.dim)
+    assert kraus.folded_operators().shape == ops.shape
+
+
+def test_kraus_set_owns_its_stack():
+    ops = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    kraus = KrausSet(ops)
+    ops[0, 0, 0] = 5.0
+    assert kraus.operators[0, 0, 0] == 1.0
+
+
+@pytest.mark.parametrize("m", [transpose_map(3), random_tp_map(3, np.random.default_rng(5))],
+                         ids=["transpose", "random_tp"])
+def test_sign_split_returns_stacks_whose_signed_sum_is_the_map(m):
+    pos, neg = sign_split(*m.eigensystem, m.dim)
+    for kraus in (pos, neg):
+        assert isinstance(kraus.operators, np.ndarray)
+        assert kraus.operators.shape == (len(kraus), 3, 3) and kraus.dim == 3
+    both = np.concatenate([pos.operators, neg.operators])
+    signed = np.concatenate([pos.weights, -neg.weights])
+    assert np.abs(weighted_choi(both, signed) - m.choi).max() <= 1e-12
+
+
+def test_sign_split_of_cp_map_has_empty_negative_stack():
+    m = amplitude_damping_map(0.3)
+    pos, neg = sign_split(*m.eigensystem, m.dim)
+    assert len(pos) == 2
+    assert neg.operators.shape == (0, 2, 2) and neg.dim == 2 and neg.weights.shape == (0,)
+    zero = weighted_choi(neg.operators, neg.weights)
+    assert zero.shape == (4, 4) and not zero.any()
+    assert not kraus_to_map(neg).choi.any()
+
+
+_STEP = 1 - 1e-6  # a relative step well above rounding, well inside any margin
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_density_matrix_negative_eigenvalue_cut_scales_with_spectrum(scale):
+    cut = zero_cut([scale], DEFAULT_TOL)
+    inside = np.diag([scale, -cut * _STEP])
+    outside = np.diag([scale, -cut / _STEP])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(outside)
+    if scale == 1.0:
+        rho = DensityMatrix(inside)
+        assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(rho.matrix))
+    else:
+        # past the eigenvalue check, only the unit-trace check can reject
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(inside)
 
 
 def test_linear_map_choi_is_read_only():
