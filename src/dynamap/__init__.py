@@ -1,154 +1,65 @@
 """Decomposition of trace-preserving dynamical maps into completely
 positive parts, extension maps, reconstruction, unitary dilation, and
-entangled-initial-state diagnostics."""
+entangled-initial-state diagnostics.
+
+The public names below are re-exported lazily (PEP 562): ``import dynamap``
+loads no submodule and no numpy, and the first use of a name imports the
+submodule that defines it.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DimensionMismatch,
-    DynamapError,
-    NonHermitianChoi,
-    NonHermitianInput,
-    NotCompleteKraus,
-    NotPSD,
-    NotTracePreserving,
-    NotUnitary,
-    SingularJ,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    hermitian_eig,
-    kron,
-    partial_trace,
-    psd_sqrt,
-    thresholded_pinv,
-)
-from .maps import (
-    DensityMatrix,
-    KrausSet,
-    LinearMap,
-    a_form,
-    apply_kraus,
-    apply_map,
-    check_cp,
-    check_hermiticity_preserving,
-    check_tp,
-    choi_eigenvalues,
-    from_a_form,
-    kraus_to_map,
-    map_to_kraus,
-)
-from .channels import (
-    amplitude_damping_kraus,
-    amplitude_damping_map,
-    depolarizing_map,
-    identity_map,
-    transpose_map,
-    unitary_map,
-)
-from .cpsplit import (
-    AnnihilationReport,
-    CPSplit,
-    TraceFunctionalReport,
-    cp_split,
-    split_from_eigensystem,
-    trace_functionals,
-    verify_annihilation,
-)
-from .extension import (
-    DimensionReport,
-    ExtendedState,
-    SectorChoiReport,
-    apply_sector_map,
-    build_extension,
-    dimension_report,
-    product_extension,
-    reconstruct,
-    sector_choi_report,
-)
-from .dilation import (
-    RoundTripReport,
-    UnitaryDilation,
-    dilation_round_trip,
-    kraus_to_unitary,
-    unitarity_residual,
-)
-from .entangled import (
-    AffineDynamics,
-    ExtensionVerdict,
-    JointPureState,
-    WitnessCertificate,
-    bell_state,
-    extension_witness,
-    induced_dynamics,
-    ncp_family,
-)
+_EXPORTS = {
+    "errors": (
+        "DynamapError", "DimensionMismatch", "NonHermitianInput", "NotPSD", "NonHermitianChoi",
+        "NotTracePreserving", "SingularJ", "NotCompleteKraus", "NotUnitary",
+    ),
+    "linalg": (
+        "ToleranceConfig", "DEFAULT_TOL", "hermitian_eig", "partial_trace", "kron", "psd_sqrt",
+        "thresholded_pinv",
+    ),
+    "maps": (
+        "LinearMap", "DensityMatrix", "KrausSet", "apply_map", "apply_kraus", "a_form",
+        "from_a_form", "kraus_to_map", "map_to_kraus", "choi_eigenvalues", "check_tp",
+        "check_hermiticity_preserving", "check_cp",
+    ),
+    "channels": (
+        "identity_map", "unitary_map", "transpose_map", "depolarizing_map",
+        "amplitude_damping_kraus", "amplitude_damping_map",
+    ),
+    "cpsplit": (
+        "CPSplit", "AnnihilationReport", "TraceFunctionalReport", "cp_split",
+        "split_from_eigensystem", "verify_annihilation", "trace_functionals",
+    ),
+    "extension": (
+        "ExtendedState", "DimensionReport", "SectorChoiReport", "product_extension",
+        "build_extension", "apply_sector_map", "reconstruct", "sector_choi_report",
+        "dimension_report",
+    ),
+    "dilation": (
+        "UnitaryDilation", "RoundTripReport", "kraus_to_unitary", "unitarity_residual",
+        "dilation_round_trip",
+    ),
+    "entangled": (
+        "JointPureState", "WitnessCertificate", "AffineDynamics", "ExtensionVerdict",
+        "bell_state", "extension_witness", "induced_dynamics", "ncp_family",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+# the submodules that the package import once loaded stay package attributes
+_SUBMODULES = {*_EXPORTS, "generators"}
 
-__all__ = [
-    "__version__",
-    "DynamapError",
-    "DimensionMismatch",
-    "NonHermitianInput",
-    "NotPSD",
-    "NonHermitianChoi",
-    "NotTracePreserving",
-    "SingularJ",
-    "NotCompleteKraus",
-    "NotUnitary",
-    "ToleranceConfig",
-    "DEFAULT_TOL",
-    "hermitian_eig",
-    "partial_trace",
-    "kron",
-    "psd_sqrt",
-    "thresholded_pinv",
-    "LinearMap",
-    "DensityMatrix",
-    "KrausSet",
-    "apply_map",
-    "apply_kraus",
-    "a_form",
-    "from_a_form",
-    "kraus_to_map",
-    "map_to_kraus",
-    "choi_eigenvalues",
-    "check_tp",
-    "check_hermiticity_preserving",
-    "check_cp",
-    "identity_map",
-    "unitary_map",
-    "transpose_map",
-    "depolarizing_map",
-    "amplitude_damping_kraus",
-    "amplitude_damping_map",
-    "CPSplit",
-    "AnnihilationReport",
-    "TraceFunctionalReport",
-    "cp_split",
-    "split_from_eigensystem",
-    "verify_annihilation",
-    "trace_functionals",
-    "ExtendedState",
-    "DimensionReport",
-    "SectorChoiReport",
-    "product_extension",
-    "build_extension",
-    "apply_sector_map",
-    "reconstruct",
-    "sector_choi_report",
-    "dimension_report",
-    "UnitaryDilation",
-    "RoundTripReport",
-    "kraus_to_unitary",
-    "unitarity_residual",
-    "dilation_round_trip",
-    "JointPureState",
-    "WitnessCertificate",
-    "AffineDynamics",
-    "ExtensionVerdict",
-    "bell_state",
-    "extension_witness",
-    "induced_dynamics",
-    "ncp_family",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

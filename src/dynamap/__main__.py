@@ -1,3 +1,34 @@
-from .cli import run
+"""Process entry of the ``dynamap`` CLI: ``python -m dynamap`` and the
+``dynamap`` script both call :func:`main`.
 
-run()
+A CLI process is set up before numpy loads.  The OpenBLAS that numpy wheels
+bundle starts its thread pool when it loads, so ``OPENBLAS_NUM_THREADS=1``
+is set first unless the environment chooses a count: at these sizes a
+second thread saves nothing, and its spin-waits slow every solve whenever
+other work shares the cores.  The process then runs without the cyclic
+garbage collector, whose passes would mostly walk the lists of a parsed
+document that reference counting frees anyway, and freezes the heap
+before exit, so interpreter teardown does not walk it either.  Library
+users and in-process callers of ``cli.main`` keep both settings as they
+are.
+"""
+
+import gc
+import os
+import sys
+
+
+def main() -> int:
+    if not (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    gc.disable()
+    try:
+        from .cli import main as cli_main
+
+        return cli_main()
+    finally:
+        gc.freeze()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,24 +8,22 @@ from a joint state and unitary, re-emittable as a map document).
 
 Exit codes: 0 success, 1 invalid input, 2 numerical precondition failure,
 3 verification failure.  Reports go to stdout, diagnostics to stderr.
+
+Only the modules that parsing and the map checks need are imported here.
+Each subcommand imports the numerical layers it uses once its input has
+passed those checks, so a process loads no module its subcommand leaves
+idle, and a rejected input loads none.  The process entry
+(BLAS threads, garbage collector) is :mod:`dynamap.__main__`.
 """
 
 import argparse
-import ctypes
-import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cpsplit import cp_split, trace_functionals, verify_annihilation
-from .dilation import dilation_round_trip, kraus_to_unitary, unitarity_residual
 from .docio import DocumentError, canonical_json, parse_document
-from .entangled import extension_witness, induced_dynamics
 from .errors import DynamapError, NotCompleteKraus
-from .extension import dimension_report, reconstruct, sector_choi_report
-from .generators import random_density_matrix, seeded_stack
 from .linalg import ToleranceConfig
 from .maps import (
     check_cp,
@@ -167,6 +165,9 @@ def _decomposition_report(command, args):
     returns ``(report, split, tol, seed)``."""
     doc, tol, seed = _resolve(args)
     _require_map_document(doc, command)
+    from .cpsplit import cp_split, trace_functionals, verify_annihilation
+    from .extension import dimension_report, sector_choi_report
+
     split = cp_split(doc.linear_map, tol)
     ann = verify_annihilation(split, tol, samples=args.samples, seed=seed)
     tf = trace_functionals(split, samples=args.samples, seed=seed, tol=tol)
@@ -235,6 +236,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     report, split, tol, seed = _decomposition_report("verify", args)
+    from .extension import reconstruct
+    from .generators import random_density_matrix, seeded_stack
+
     states = seeded_stack(random_density_matrix, split.dim, args.samples, seed)
     worst = reconstruct(split, states, args.variant)[1]
     passed = worst <= tol.residual_abs
@@ -264,6 +268,8 @@ def cmd_dilate(args) -> int:
             f"map is not completely positive (min Choi eigenvalue {min_eig:.6e}); "
             "only CPTP maps admit a unitary dilation"
         )
+    from .dilation import dilation_round_trip, kraus_to_unitary, unitarity_residual
+
     positive, _ = map_to_kraus(m, tol)
     dil = kraus_to_unitary(positive, tol)
     trip = dilation_round_trip(dil, m, samples=args.samples, seed=seed, tol=tol)
@@ -289,6 +295,8 @@ def cmd_dilate(args) -> int:
 def cmd_witness(args) -> int:
     doc, tol, seed = _resolve(args)
     _require_joint_document(doc, "witness")
+    from .entangled import extension_witness
+
     cert = extension_witness(doc.state, tol)
     report = _base_report("witness", doc, tol, seed, args)
     report["witness"] = {
@@ -309,6 +317,8 @@ def cmd_extract(args) -> int:
     _require_joint_document(doc, "extract")
     if doc.unitary is None:
         raise DocumentError("$.data.unitary", "extract requires a joint unitary")
+    from .entangled import extension_witness, induced_dynamics
+
     dynamics = induced_dynamics(doc.state, doc.unitary, tol)
     cert = extension_witness(doc.state, tol)
     m = dynamics.tp_linear_form
@@ -352,20 +362,3 @@ def main(argv=None) -> int:
     except DynamapError as exc:
         print(f"error: numerical precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-
-
-def _one_blas_thread():
-    """Run the OpenBLAS that numpy wheels bundle on one thread unless the
-    environment sets a count: at these sizes a second thread saves nothing,
-    and its spin-waits slow every solve whenever other work shares the cores."""
-    if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
-        return
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
-        if setter is not None:
-            setter(1)
-
-
-def run():
-    _one_blas_thread()
-    raise SystemExit(main())

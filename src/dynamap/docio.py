@@ -39,7 +39,6 @@ import math
 
 import numpy as np
 
-from .entangled import JointPureState
 from .linalg import ToleranceConfig
 from .maps import KrausSet, LinearMap, from_a_form, kraus_to_map
 
@@ -183,6 +182,8 @@ def parse_document(raw: bytes) -> ParsedDocument:
             raise DocumentError("$.data", "joint_dynamics data must be an object")
         if "state" not in data:
             raise DocumentError("$.data.state", "missing state amplitudes")
+        from .entangled import JointPureState
+
         amps = _complex_array(data["state"], "$.data.state", (ns * ne,), fast)
         norm = np.linalg.norm(amps)
         if norm < 1e-12:

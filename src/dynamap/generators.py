@@ -18,11 +18,17 @@ Two generators deserve a note:
   matrix and confines its negative eigenspace to the annihilating block.
 """
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .entangled import JointPureState
 from .linalg import partial_trace
 from .maps import KrausSet, LinearMap, weighted_choi
+
+if TYPE_CHECKING:  # the map commands draw no joint states and never load entangled
+    from .entangled import JointPureState
 
 
 def random_complex(shape, rng: np.random.Generator) -> np.ndarray:
@@ -123,11 +129,15 @@ def random_tp_map_with_kernel(dim: int, rng: np.random.Generator) -> LinearMap:
 
 
 def random_joint_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> JointPureState:
+    from .entangled import JointPureState
+
     ns, ne = dims
     return JointPureState(dims, random_pure_state(ns * ne, rng))
 
 
 def random_product_joint_state(dims: tuple[int, int], rng: np.random.Generator) -> JointPureState:
+    from .entangled import JointPureState
+
     ns, ne = dims
     amps = np.kron(random_pure_state(ns, rng), random_pure_state(ne, rng))
     return JointPureState(dims, amps)

@@ -6,6 +6,7 @@ residual is tolerated) are centralized in :class:`ToleranceConfig` so that
 the whole pipeline shares one notion of "numerically zero".
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,28 @@ def as_complex_matrix(m) -> np.ndarray:
     return as_complex_stack(a)
 
 
+def _without_overflow(norm, a: np.ndarray) -> float:
+    """``norm(a)`` for a norm whose sum of squares can overflow: when it
+    does on finite entries, the norm of ``a`` scaled down by its largest
+    entry, scaled back up.  Other inputs keep the plain result exactly."""
+    with np.errstate(over="ignore"):
+        value = norm(a)
+    if value == math.inf and np.isfinite(a).all():
+        scale = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+        value = scale * norm(a / scale)
+    return value
+
+
 def frob(m) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm; finite for finite entries up to the float range."""
+    return _without_overflow(lambda a: float(np.linalg.norm(a)), np.asarray(m))
+
+
+def _max_frob(stack: np.ndarray) -> float:
+    size = stack.shape[-2] * stack.shape[-1]
+    rows, cols = stack.reshape(-1, 1, size), stack.reshape(-1, size, 1)
+    squares = rows.real @ cols.real + rows.imag @ cols.imag
+    return float(np.sqrt(np.max(squares, initial=0.0)))
 
 
 def max_frob(stack: np.ndarray) -> float:
@@ -70,10 +90,7 @@ def max_frob(stack: np.ndarray) -> float:
     empty stack.  Each squared norm is the real dot product of the flattened
     entries, the sum ``np.linalg.norm`` forms, so one matrix gives
     :func:`frob` exactly."""
-    size = stack.shape[-2] * stack.shape[-1]
-    rows, cols = stack.reshape(-1, 1, size), stack.reshape(-1, size, 1)
-    squares = rows.real @ cols.real + rows.imag @ cols.imag
-    return float(np.sqrt(np.max(squares, initial=0.0)))
+    return _without_overflow(_max_frob, stack)
 
 
 def hermiticity_residual(m: np.ndarray) -> float:

@@ -347,18 +347,19 @@ def test_console_entry_point_subprocess():
 
 
 _BLAS_THREADS = """
+import contextlib
+import io
+import runpy
+import sys
+sys.argv = ["dynamap", "--version"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    runpy.run_module("dynamap", run_name="__main__")
 import ctypes
 from pathlib import Path
 import numpy as np
-import pytest
-from dynamap.cli import _one_blas_thread
 libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
 get = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_", None) if libs else None
-if get is None:
-    print("none")
-else:
-    _one_blas_thread()
-    print(get())
+print("none" if get is None else get())
 """
 
 
@@ -370,6 +371,49 @@ def test_cli_runs_blas_on_one_thread_unless_environment_sets_it():
     if counts[0] == "none":
         pytest.skip("numpy is not linked against its bundled OpenBLAS")
     assert counts == ["1", "2"]
+
+
+_JOINT_IDLE = ("numpy.random", "dynamap.cpsplit", "dynamap.extension", "dynamap.dilation",
+               "dynamap.generators")
+
+
+@pytest.mark.parametrize("command,name,idle", [
+    ("witness", "bell_cnot_joint.json", _JOINT_IDLE),
+    ("extract", "bell_cnot_joint.json", _JOINT_IDLE),
+    ("decompose", "transpose_choi.json", ("dynamap.dilation", "dynamap.entangled",
+                                          "dynamap.channels")),
+    ("dilate", "amplitude_damping_kraus.json", ("dynamap.cpsplit", "dynamap.extension",
+                                                "dynamap.entangled", "dynamap.channels")),
+])
+def test_subcommand_child_loads_only_the_layers_it_uses(command, name, idle):
+    # -X importtime names every module the child imports, on stderr
+    child = subprocess.run([sys.executable, "-X", "importtime", "-m", "dynamap", command,
+                            fix(name)], capture_output=True, text=True)
+    assert child.returncode == 0
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "dynamap.maps" in loaded and not loaded & set(idle)
+
+
+def test_in_process_main_keeps_the_garbage_collector(capsys):
+    import gc
+
+    code, _, _ = run_cli(capsys, "witness", fix("bell_cnot_joint.json"))
+    assert code == 0 and gc.isenabled()
+
+
+def test_script_entry_is_the_function_python_m_calls():
+    import importlib
+    import runpy
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["dynamap"]
+    # run as "dynamap.__main__", the module defines main without calling it
+    run_main = runpy.run_module("dynamap")["main"]
+    module, _, attr = target.partition(":")
+    script_main = getattr(importlib.import_module(module), attr)
+    assert callable(script_main) and script_main.__code__ == run_main.__code__
 
 
 _HUGE_INT = "1" + "0" * 309
@@ -401,6 +445,17 @@ def test_kraus_document_whose_choi_overflows_is_invalid_input(capsys, tmp_path, 
     _assert_clean_usage_error(code, err)
     assert err.startswith("error: invalid input: $.data: ")
     assert err.count("\n") == 1 and out == ""
+
+
+def test_kraus_document_whose_norms_overflow_reports_a_finite_residual(tmp_path):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text('{"kind":"kraus","dim":2,"data":[[[[1e150,0],[0,0]],[[0,0],[1,0]]]]}')
+    child = subprocess.run([sys.executable, "-m", "dynamap", "decompose", str(doc_path)],
+                           capture_output=True, text=True)
+    assert child.returncode == 2 and child.stdout == ""
+    assert child.stderr.count("\n") == 1
+    assert child.stderr.startswith("error: numerical precondition failure: "
+                                   "trace-preservation residual 1.000e+300 ")
 
 
 def test_witness_eigendecomposes_reduced_state_once(capsys, monkeypatch):

@@ -5,8 +5,10 @@ from dynamap.errors import DimensionMismatch, NonHermitianInput, NotPSD
 from dynamap.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    frob,
     hermitian_eig,
     kron,
+    max_frob,
     partial_trace,
     psd_sqrt,
     thresholded_pinv,
@@ -183,3 +185,19 @@ def test_thresholded_pinv_random_properties():
 def test_thresholded_pinv_rejects_indefinite():
     with pytest.raises(NotPSD):
         thresholded_pinv(np.diag([1.0, -1.0]))
+
+
+def test_frob_of_finite_entries_too_large_to_square_is_finite():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    assert frob(stack[1]) == float(np.linalg.norm(stack[1]))
+    assert max_frob(stack) == max(frob(m) for m in stack)
+    for big in (1e200 * stack, np.array([[1e300, -1e300j], [0.0, 1e300]])):
+        with np.errstate(over="raise"):
+            norms = [frob(m) for m in big.reshape(-1, *big.shape[-2:])]
+            worst = max_frob(big)
+        expected = [1e200 * frob(m) for m in stack] if big.ndim == 3 else [np.sqrt(3) * 1e300]
+        assert np.allclose(norms, expected, rtol=1e-14)
+        assert worst == max(norms)
+    assert frob(np.array([[np.inf, 0.0]])) == np.inf
+    assert max_frob(np.full((1, 2, 2), 1e308)) == np.inf

@@ -1,0 +1,66 @@
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import dynamap
+
+# the public names of the package, as its eager imports once exported them
+PUBLIC = {
+    "errors": "DynamapError DimensionMismatch NonHermitianInput NotPSD NonHermitianChoi "
+              "NotTracePreserving SingularJ NotCompleteKraus NotUnitary",
+    "linalg": "ToleranceConfig DEFAULT_TOL hermitian_eig partial_trace kron psd_sqrt "
+              "thresholded_pinv",
+    "maps": "LinearMap DensityMatrix KrausSet apply_map apply_kraus a_form from_a_form "
+            "kraus_to_map map_to_kraus choi_eigenvalues check_tp check_hermiticity_preserving "
+            "check_cp",
+    "channels": "identity_map unitary_map transpose_map depolarizing_map "
+                "amplitude_damping_kraus amplitude_damping_map",
+    "cpsplit": "CPSplit AnnihilationReport TraceFunctionalReport cp_split split_from_eigensystem "
+               "verify_annihilation trace_functionals",
+    "extension": "ExtendedState DimensionReport SectorChoiReport product_extension "
+                 "build_extension apply_sector_map reconstruct sector_choi_report "
+                 "dimension_report",
+    "dilation": "UnitaryDilation RoundTripReport kraus_to_unitary unitarity_residual "
+                "dilation_round_trip",
+    "entangled": "JointPureState WitnessCertificate AffineDynamics ExtensionVerdict bell_state "
+                 "extension_witness induced_dynamics ncp_family",
+}
+
+
+def test_import_dynamap_loads_no_numpy():
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, dynamap; print(sorted(m for m in sys.modules "
+                               "if m.split('.')[0] in ('numpy', 'dynamap')))"],
+        capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "['dynamap']"
+
+
+def test_every_public_name_resolves_to_its_submodule_object():
+    names = {name for names in PUBLIC.values() for name in names.split()}
+    assert set(dynamap.__all__) == names | {"__version__"}
+    assert len(dynamap.__all__) == len(set(dynamap.__all__))
+    for module, names in PUBLIC.items():
+        sub = importlib.import_module(f"dynamap.{module}")
+        for name in names.split():
+            assert getattr(dynamap, name) is getattr(sub, name)
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dynamap.no_such_name
+    from dynamap import cli  # submodules still import through the package
+
+    assert callable(cli.main)
+
+
+def test_submodules_are_package_attributes_in_a_fresh_interpreter():
+    # the package import once loaded these eagerly, so `dynamap.linalg.kron`
+    # worked after a bare `import dynamap`
+    modules = [*PUBLIC, "generators"]
+    child = subprocess.run(
+        [sys.executable, "-c", "import dynamap; print([getattr(dynamap, m).__name__ for m in "
+                               f"{modules!r}])"],
+        capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == repr([f"dynamap.{m}" for m in modules])
