@@ -9,30 +9,23 @@ from a joint state and unitary, re-emittable as a map document).
 Exit codes: 0 success, 1 invalid input, 2 numerical precondition failure,
 3 verification failure.  Reports go to stdout, diagnostics to stderr.
 
-Only the modules that parsing and the map checks need are imported here.
-Each subcommand imports the numerical layers it uses once its input has
-passed those checks, so a process loads no module its subcommand leaves
-idle, and a rejected input loads none.  The process entry
-(BLAS threads, garbage collector) is :mod:`dynamap.__main__`.
+The ``dimensions``, ``annihilation``, ``trace_functionals`` and
+``sector_maps.<variant>`` report sections are the library result
+dataclasses, written by ``dataclasses.asdict``; the sections that hold
+arrays or renamed keys are built here.
+
+Only the numpy-free :mod:`dynamap.errors` is imported here, so
+``--version`` and usage errors load no numpy.  Each subcommand imports a
+layer when it first uses it, so a process loads no module its subcommand
+leaves idle.  The process entry (BLAS threads, garbage collector) is
+:mod:`dynamap.__main__`.
 """
 
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
-from .docio import DocumentError, canonical_json, parse_document
-from .errors import DynamapError, NotCompleteKraus
-from .linalg import ToleranceConfig
-from .maps import (
-    check_cp,
-    check_hermiticity_preserving,
-    check_tp,
-    choi_eigenvalues,
-    map_to_kraus,
-    require_tp,
-)
+from .errors import DocumentError, DynamapError, NotCompleteKraus
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -88,17 +81,17 @@ def _read_input(path: str) -> bytes:
 
 
 def _resolve(args):
+    from dataclasses import replace
+
+    from .docio import parse_document
+
     doc = parse_document(_read_input(args.file))
-    tol_kwargs = {
-        "zero_eig_rel": doc.tol.zero_eig_rel,
-        "residual_abs": doc.tol.residual_abs,
-    }
-    if args.tol_eig is not None:
-        tol_kwargs["zero_eig_rel"] = args.tol_eig
-    if args.tol_residual is not None:
-        tol_kwargs["residual_abs"] = args.tol_residual
+    tol = doc.tol
     try:
-        tol = ToleranceConfig(**tol_kwargs)
+        if args.tol_eig is not None:
+            tol = replace(tol, zero_eig_rel=args.tol_eig)
+        if args.tol_residual is not None:
+            tol = replace(tol, residual_abs=args.tol_residual)
     except ValueError as exc:
         raise DocumentError("$.tolerances", str(exc)) from None
     seed = args.seed if args.seed is not None else (doc.seed if doc.seed is not None else 0)
@@ -116,6 +109,8 @@ def _require_joint_document(doc, command):
 
 
 def _map_section(m, tol) -> dict:
+    from .maps import check_cp, check_hermiticity_preserving, check_tp, choi_eigenvalues
+
     hp_ok, hp_res = check_hermiticity_preserving(m, tol)
     tp_ok, tp_res = check_tp(m, tol)
     section = {
@@ -136,18 +131,6 @@ def _map_section(m, tol) -> dict:
     return section
 
 
-def _sector_section(report) -> dict:
-    return {
-        "plus_hermiticity_residual": report.plus_hermiticity_residual,
-        "plus_min_eig": report.plus_min_eig,
-        "minus_hermiticity_residual": report.minus_hermiticity_residual,
-        "minus_min_eig": report.minus_min_eig,
-        "full_dim": report.full_dim,
-        "full_hermiticity_residual": report.full_hermiticity_residual,
-        "full_min_eig": report.full_min_eig,
-    }
-
-
 def _base_report(command, doc, tol, seed, args) -> dict:
     return {
         "command": command,
@@ -165,13 +148,12 @@ def _decomposition_report(command, args):
     returns ``(report, split, tol, seed)``."""
     doc, tol, seed = _resolve(args)
     _require_map_document(doc, command)
+    from dataclasses import asdict
+
     from .cpsplit import cp_split, trace_functionals, verify_annihilation
     from .extension import dimension_report, sector_choi_report
 
     split = cp_split(doc.linear_map, tol)
-    ann = verify_annihilation(split, tol, samples=args.samples, seed=seed)
-    tf = trace_functionals(split, samples=args.samples, seed=seed, tol=tol)
-    dims = dimension_report(split)
     report = _base_report(command, doc, tol, seed, args)
     report["map"] = _map_section(doc.linear_map, tol)
     report.update({
@@ -184,36 +166,22 @@ def _decomposition_report(command, args):
             "minus_functional_rank": split.support_basis.shape[1],
             "kernel_dim": split.kernel_basis.shape[1],
         },
-        "dimensions": {
-            "extension_dim": dims.extension_dim,
-            "dilation_dim": dims.dilation_dim,
-            "n_squared_bound": dims.n_squared_bound,
-        },
-        "annihilation": {
-            "kernel_state_residual": ann.kernel_state_residual,
-            "kernel_cross_residual": ann.kernel_cross_residual,
-            "mechanism_residual": ann.mechanism_residual,
-            "support_restriction_residual": ann.support_restriction_residual,
-            "max_residual": ann.max_residual,
-            "passed": ann.passed,
-        },
-        "trace_functionals": {
-            "plus_residual": tf.plus_residual,
-            "minus_residual": tf.minus_residual,
-            "plus_inverse_residual": tf.plus_inverse_residual,
-            "minus_support_residual": tf.minus_support_residual,
-            "max_residual": tf.max_residual,
-            "passed": tf.passed,
-        },
+        "dimensions": asdict(dimension_report(split)),
+        "annihilation": asdict(verify_annihilation(split, tol, samples=args.samples, seed=seed)),
+        "trace_functionals": asdict(
+            trace_functionals(split, samples=args.samples, seed=seed, tol=tol)
+        ),
         "sector_maps": {
-            "literal": _sector_section(sector_choi_report(split, "literal", tol)),
-            "symmetric": _sector_section(sector_choi_report(split, "symmetric", tol)),
+            variant: asdict(sector_choi_report(split, variant, tol))
+            for variant in ("literal", "symmetric")
         },
     })
     return report, split, tol, seed
 
 
 def _emit(report: dict, fmt: str):
+    from .docio import canonical_json
+
     if fmt == "json":
         print(canonical_json(report))
         return
@@ -260,6 +228,8 @@ def cmd_verify(args) -> int:
 def cmd_dilate(args) -> int:
     doc, tol, seed = _resolve(args)
     _require_map_document(doc, "dilate")
+    from .maps import check_cp, map_to_kraus, require_tp
+
     m = doc.linear_map
     require_tp(m, tol)
     cp_ok, min_eig = check_cp(m, tol)
@@ -292,6 +262,16 @@ def cmd_dilate(args) -> int:
     return EXIT_OK
 
 
+def _witness_section(state, cert) -> dict:
+    """The ``witness`` keys that ``witness`` and ``extract`` share."""
+    return {
+        "dims": list(state.dims),
+        "purity": cert.purity,
+        "schmidt_rank": cert.schmidt_rank,
+        "verdict": cert.verdict.value,
+    }
+
+
 def cmd_witness(args) -> int:
     doc, tol, seed = _resolve(args)
     _require_joint_document(doc, "witness")
@@ -300,10 +280,7 @@ def cmd_witness(args) -> int:
     cert = extension_witness(doc.state, tol)
     report = _base_report("witness", doc, tol, seed, args)
     report["witness"] = {
-        "dims": list(doc.state.dims),
-        "purity": cert.purity,
-        "schmidt_rank": cert.schmidt_rank,
-        "verdict": cert.verdict.value,
+        **_witness_section(doc.state, cert),
         "schmidt_weights": cert.schmidt_weights,
         "reduced_state": cert.reduced_state.matrix,
         "explanation": cert.explanation,
@@ -324,16 +301,11 @@ def cmd_extract(args) -> int:
     m = dynamics.tp_linear_form
     report = _base_report("extract", doc, tol, seed, args)
     report["map"] = _map_section(m, tol)
-    report["witness"] = {
-        "dims": list(doc.state.dims),
-        "purity": cert.purity,
-        "schmidt_rank": cert.schmidt_rank,
-        "verdict": cert.verdict.value,
-    }
+    report["witness"] = _witness_section(doc.state, cert)
     report["extraction"] = {
         "consistency_residual": dynamics.consistency_residual,
         "constant_part": dynamics.constant_part,
-        "constant_part_trace": np.trace(dynamics.constant_part).real,
+        "constant_part_trace": dynamics.constant_part.trace().real,
         "extracted_map": {
             "kind": "superop_b",
             "dim": m.dim,

@@ -76,13 +76,19 @@ class CPSplit:
     support_projector: np.ndarray
     kernel_basis: np.ndarray
     support_basis: np.ndarray
-    n_positive: int
-    n_negative: int
     tol: ToleranceConfig
 
     @property
     def dim(self) -> int:
         return self.source.dim
+
+    @property
+    def n_positive(self) -> int:
+        return len(self.positive_kraus)
+
+    @property
+    def n_negative(self) -> int:
+        return len(self.negative_kraus)
 
     @property
     def has_negative_part(self) -> bool:
@@ -111,6 +117,7 @@ class AnnihilationReport:
     kernel vectors (the reason the two previous families vanish).
     ``support_restriction_residual``: difference between the negative part
     applied to random states and to their support-projected versions.
+    The fields are the ``annihilation`` section of a ``decompose`` report.
     """
 
     kernel_state_residual: float
@@ -119,15 +126,12 @@ class AnnihilationReport:
     support_restriction_residual: float
     max_residual: float
     passed: bool
-    kernel_dim: int
-    support_dim: int
-    samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
 class TraceFunctionalReport:
-    """Residuals of the trace-functional identities over random inputs."""
+    """Residuals of the trace-functional identities over random inputs;
+    the ``trace_functionals`` section of a ``decompose`` report."""
 
     plus_residual: float
     minus_residual: float
@@ -135,8 +139,6 @@ class TraceFunctionalReport:
     minus_support_residual: float
     max_residual: float
     passed: bool
-    samples: int
-    seed: int
 
 
 def cp_split(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> CPSplit:
@@ -188,8 +190,6 @@ def split_from_eigensystem(
         support_projector=spectral_power(support_vals, support_basis, 0.0),
         kernel_basis=k_vecs[:, ~keep],
         support_basis=support_basis,
-        n_positive=len(positive_kraus),
-        n_negative=len(negative_kraus),
         tol=tol,
     )
 
@@ -227,10 +227,6 @@ def verify_annihilation(
         support_restriction_residual=restriction,
         max_residual=worst,
         passed=bool(worst <= tol.residual_abs),
-        kernel_dim=len(kernel),
-        support_dim=len(support),
-        samples=samples,
-        seed=seed,
     )
 
 
@@ -269,6 +265,4 @@ def trace_functionals(
         minus_support_residual=minus_sup_res,
         max_residual=worst,
         passed=bool(worst <= tol.residual_abs),
-        samples=samples,
-        seed=seed,
     )

@@ -48,8 +48,6 @@ class UnitaryDilation:
 class RoundTripReport:
     max_residual: float
     passed: bool
-    samples: int
-    seed: int
 
 
 def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> UnitaryDilation:
@@ -95,6 +93,4 @@ def dilation_round_trip(
         )
     rhos = seeded_stack(random_density_matrix, m.dim, samples, seed)
     worst = max_frob(dilation.evolve(rhos) - apply_map(m, rhos))
-    return RoundTripReport(
-        max_residual=worst, passed=worst <= tol.residual_abs, samples=samples, seed=seed
-    )
+    return RoundTripReport(max_residual=worst, passed=worst <= tol.residual_abs)

@@ -39,20 +39,12 @@ import math
 
 import numpy as np
 
+from .errors import DocumentError
 from .linalg import ToleranceConfig
 from .maps import KrausSet, LinearMap, from_a_form, kraus_to_map
 
 MAP_KINDS = ("kraus", "choi", "superop_a", "superop_b")
 ALL_KINDS = MAP_KINDS + ("joint_dynamics",)
-
-
-class DocumentError(Exception):
-    """Malformed input document; carries the JSON path of the offense."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}")
 
 
 class ParsedDocument:

@@ -2,7 +2,7 @@
 
 
 class DynamapError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the numerical errors; malformed documents raise DocumentError."""
 
 
 class DimensionMismatch(DynamapError):
@@ -39,3 +39,12 @@ class NotCompleteKraus(DynamapError):
 
 class NotUnitary(DynamapError):
     """A matrix that must be unitary fails the unitarity residual bound."""
+
+
+class DocumentError(Exception):
+    """Malformed input document; carries the JSON path of the offense."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        self.message = message
+        super().__init__(f"{path}: {message}")

@@ -79,7 +79,7 @@ class ExtendedState:
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Sizes of the extended spaces required by the construction."""
+    """Extended-space sizes; the ``dimensions`` section of a ``decompose`` report."""
 
     extension_dim: int
     dilation_dim: int
@@ -203,9 +203,8 @@ class SectorChoiReport:
 
     In the ``symmetric`` variant the minima come from the l x l Gram matrix
     of the sector's l Kraus operators, so they are exactly 0.0 when
-    l < N^2."""
+    l < N^2.  The fields are a ``sector_maps.<variant>`` report section."""
 
-    variant: str
     plus_hermiticity_residual: float
     plus_min_eig: float | None
     minus_hermiticity_residual: float | None
@@ -219,8 +218,9 @@ def sector_choi_report(
     split: CPSplit, variant: str, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SectorChoiReport:
     """Measure Hermiticity and positivity of the sector maps for a variant."""
-    a_forms = _sector_a_forms(split, variant)
-    sectors = [from_a_form(a) for a in a_forms[: 2 if split.has_negative_part else 1]]
+    keep = 2 if split.has_negative_part else 1
+    # the A-forms (N^2 x N^2 each) are freed here, not held through the eigensolves below
+    sectors = [from_a_form(a) for a in _sector_a_forms(split, variant)[:keep]]
     oks, residuals = zip(*(check_hermiticity_preserving(m, tol) for m in sectors))
     full_res = math.hypot(*residuals)
     full_ok = full_res <= tol.residual_abs * max(1.0, math.hypot(*(frob(m.choi) for m in sectors)))
@@ -244,7 +244,6 @@ def sector_choi_report(
     stats = [(res, eig if ok else None) for ok, res, eig in zip(oks, residuals, min_eigs)]
     (plus_res, plus_min), (minus_res, minus_min) = stats + [(None, None)] * (2 - len(stats))
     return SectorChoiReport(
-        variant=variant,
         plus_hermiticity_residual=plus_res,
         plus_min_eig=plus_min,
         minus_hermiticity_residual=minus_res,

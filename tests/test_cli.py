@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dynamap import __version__
 from dynamap.cli import main
 from dynamap.maps import LinearMap, check_cp
 
@@ -36,6 +37,19 @@ def test_decompose_transpose_golden(capsys):
     assert rep["split"]["l_minus"] == 1
     assert rep["map"]["is_cp"] is False
     assert rep["dimensions"] == {"extension_dim": 4, "dilation_dim": 8, "n_squared_bound": 4}
+    # these sections are written field for field from the library result
+    # dataclasses, so a new or renamed field would change every report
+    assert set(rep["annihilation"]) == {
+        "kernel_state_residual", "kernel_cross_residual", "mechanism_residual",
+        "support_restriction_residual", "max_residual", "passed"}
+    assert set(rep["trace_functionals"]) == {
+        "plus_residual", "minus_residual", "plus_inverse_residual", "minus_support_residual",
+        "max_residual", "passed"}
+    assert set(rep["sector_maps"]) == {"literal", "symmetric"}
+    for section in rep["sector_maps"].values():
+        assert set(section) == {
+            "plus_hermiticity_residual", "plus_min_eig", "minus_hermiticity_residual",
+            "minus_min_eig", "full_dim", "full_hermiticity_residual", "full_min_eig"}
 
 
 def test_decompose_identity_kraus(capsys):
@@ -393,6 +407,29 @@ def test_subcommand_child_loads_only_the_layers_it_uses(command, name, idle):
     loaded = {line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()
               if line.startswith("import time:")}
     assert "dynamap.maps" in loaded and not loaded & set(idle)
+
+
+@pytest.mark.parametrize("argv,code,last_line", [
+    (["--version"], 0, None),
+    (["decompose"], 1, "error: the following arguments are required: file"),
+    (["decompose", "x.json", "--seed", "-1"], 1,
+     "error: argument --seed: must be nonnegative, got -1"),
+    (["decompose", "x.json", "--samples", "0"], 1,
+     "error: argument --samples: must be at least 1, got 0"),
+])
+def test_version_and_usage_errors_load_no_numpy(argv, code, last_line):
+    child = subprocess.run([sys.executable, "-X", "importtime", "-m", "dynamap", *argv],
+                           capture_output=True, text=True)
+    timings = [line for line in child.stderr.splitlines() if line.startswith("import time:")]
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in timings}
+    rest = [line for line in child.stderr.splitlines() if not line.startswith("import time:")]
+    assert "dynamap.cli" in loaded and "numpy" not in loaded
+    assert child.returncode == code
+    if last_line is None:
+        assert child.stdout == f"dynamap {__version__}\n" and rest == []
+    else:
+        assert child.stdout == ""
+        assert rest[0].startswith("usage: dynamap ") and rest[-1] == last_line
 
 
 def test_in_process_main_keeps_the_garbage_collector(capsys):
