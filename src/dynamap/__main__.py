@@ -11,6 +11,11 @@ document that reference counting frees anyway, and freezes the heap
 before exit, so interpreter teardown does not walk it either.  Library
 users and in-process callers of ``cli.main`` keep both settings as they
 are.
+
+When stdout refuses a report (a closed pipe, a full disk), ``cli.main``
+says so on stderr and returns 1; the unwritten rest of the report is then
+dropped by pointing file descriptor 1 at the null device, so interpreter
+shutdown does not retry the write and print a second error.
 """
 
 import gc
@@ -25,9 +30,14 @@ def main() -> int:
     try:
         from .cli import main as cli_main
 
-        return cli_main()
+        code = cli_main()
     finally:
         gc.freeze()
+    try:
+        sys.stdout.flush()
+    except OSError:  # the failed write is already reported
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -6,8 +6,14 @@ dimension reports), ``verify`` (reconstruction identity on sampled states),
 witness for joint pure states) and ``extract`` (induced subsystem dynamics
 from a joint state and unitary, re-emittable as a map document).
 
-Exit codes: 0 success, 1 invalid input, 2 numerical precondition failure,
-3 verification failure.  Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 invalid input or a failed write to stdout, 2
+numerical precondition failure, 3 verification failure.  Reports go to
+stdout, diagnostics to stderr.  A report is written while it is formatted,
+one matrix row at a time, so its text is never held whole in memory; it is
+checked in full before the first byte, so stdout holds the complete report
+or, when it cannot be serialized, nothing.  A write that stdout refuses (a
+closed pipe, a full disk) ends in one ``error: cannot write report:`` line
+and exit code 1.
 
 The ``dimensions``, ``annihilation``, ``trace_functionals`` and
 ``sector_maps.<variant>`` report sections are the library result
@@ -179,21 +185,32 @@ def _decomposition_report(command, args):
     return report, split, tol, seed
 
 
+class _WriteFailed(Exception):
+    """stdout refused part of a report."""
+
+
+def _flush_stdout():
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _WriteFailed(exc) from None
+
+
 def _emit(report: dict, fmt: str):
-    from .docio import canonical_json
+    """Stream ``report`` to stdout; a write that stdout refuses raises
+    :class:`_WriteFailed`."""
+    from .docio import canonical_json, canonical_text
 
-    if fmt == "json":
-        print(canonical_json(report))
-        return
-
-    def walk(prefix, value):
-        if isinstance(value, dict):
-            for key in sorted(value):
-                walk(f"{prefix}.{key}" if prefix else key, value[key])
+    write = sys.stdout.write
+    try:
+        if fmt == "json":
+            canonical_json(report, write)
+            write("\n")
         else:
-            print(f"{prefix} = {canonical_json(value)}")
-
-    walk("", report)
+            canonical_text(report, write)
+    except OSError as exc:
+        raise _WriteFailed(exc) from None
+    _flush_stdout()
 
 
 def cmd_decompose(args) -> int:
@@ -319,14 +336,15 @@ def cmd_extract(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.samples < 1:
-            parser.error(f"argument --samples: must be at least 1, got {args.samples}")
-        if args.seed is not None and args.seed < 0:
-            parser.error(f"argument --seed: must be nonnegative, got {args.seed}")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+            if args.samples < 1:
+                parser.error(f"argument --samples: must be at least 1, got {args.samples}")
+            if args.seed is not None and args.seed < 0:
+                parser.error(f"argument --seed: must be nonnegative, got {args.seed}")
+        except SystemExit as exc:
+            _flush_stdout()  # --version and --help write to stdout
+            return int(exc.code or 0)
         return args.func(args)
     except DocumentError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
@@ -334,3 +352,6 @@ def main(argv=None) -> int:
     except DynamapError as exc:
         print(f"error: numerical precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except _WriteFailed as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT

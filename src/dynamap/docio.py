@@ -30,7 +30,12 @@ Reports are serialized by :func:`canonical_json`: keys sorted, no
 whitespace, floats rendered with 17 significant digits.  Report values may
 be numpy arrays; they are written as nested lists, complex entries as the
 same ``[re, im]`` pairs the inputs use.  Identical inputs, seeds and tool
-version therefore produce byte-identical reports.
+version therefore produce byte-identical reports.  :func:`canonical_text`
+writes the same values as the ``key = value`` lines of ``--format text``.
+Both check the whole report before they format any of it, then format and
+hand it to a ``write`` callable one matrix row at a time, so a report is
+never held whole as text and a report that cannot be serialized writes
+nothing.
 """
 
 import hashlib
@@ -224,43 +229,133 @@ def parse_document(raw: bytes) -> ParsedDocument:
 
 
 def _real_parts(m) -> np.ndarray:
-    """A float array of ``m``, complex entries as a trailing ``[re, im]`` axis."""
+    """A float array of ``m``, complex entries as a trailing ``[re, im]`` axis
+    (a view of a contiguous complex array, not a copy)."""
     m = np.asarray(m)
     if np.iscomplexobj(m):
-        m = np.stack((m.real, m.imag), axis=-1)
-    return m.astype(float)
+        return np.ascontiguousarray(m, dtype=complex).view(float).reshape(m.shape + (2,))
+    return np.asarray(m, dtype=float)
 
 
-def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, compact, 17-significant-digit floats.
+def _template(shape) -> str:
+    """The ``%``-template of a float array of ``shape`` as nested lists."""
+    template = "%.17g"
+    for size in reversed(shape):
+        template = "[" + ",".join([template] * size) + "]"
+    return template
 
-    Floats and numpy arrays are written as nested lists of the
-    :func:`_real_parts` encoding, checked once for finiteness and formatted
-    in one pass.
-    """
+
+def _plan(value, out):
+    """Append the pieces of ``value`` to ``out``: ready strings, and
+    ``(real, row_ndim)`` for arrays larger than one matrix row, which are
+    formatted later.  Every check of the report happens here."""
     if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating, np.ndarray)):
+        out.append("null")
+    elif isinstance(value, (bool, np.bool_)):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating, np.ndarray)):
         real = _real_parts(value)
         if not np.isfinite(real).all():
             raise ValueError(f"cannot serialize non-finite floats: {value}")
-        template = "%.17g"
-        for size in reversed(real.shape):
-            template = "[" + ",".join([template] * size) + "]"
-        return template % tuple(real.ravel().tolist())
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in value) + "]"
-    if isinstance(value, dict):
-        parts = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            parts.append(json.dumps(key) + ":" + canonical_json(value[key]))
-        return "{" + ",".join(parts) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+        row_ndim = 2 if np.iscomplexobj(value) else 1  # a complex row keeps its pair axis
+        if real.ndim > row_ndim and real.size:
+            out.append((real, row_ndim))
+        else:
+            out.append(_template(real.shape) % tuple(real.ravel().tolist()))
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, entry in enumerate(value):
+            if i:
+                out.append(",")
+            _plan(entry, out)
+        out.append("]")
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(_sorted_keys(value)):
+            out.append(("," if i else "") + json.dumps(key) + ":")
+            _plan(value[key], out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+
+
+def _sorted_keys(mapping) -> list:
+    for key in mapping:
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be strings, got {key!r}")
+    return sorted(mapping)
+
+
+def _write(plan, write):
+    """Format ``plan`` and pass it to ``write`` in chunks: each row of a
+    deferred array is one chunk, together with the small strings written
+    since the previous row.  Without ``write``, returns the joined text."""
+    chunks = None
+    if write is None:
+        chunks = []
+        write = chunks.append
+    pending = []
+
+    def rows(real, row_ndim, template):
+        if real.ndim == row_ndim:
+            pending.append(template % tuple(real.ravel().tolist()))
+            write("".join(pending))
+            pending.clear()
+            return
+        pending.append("[")
+        for i, sub in enumerate(real):
+            if i:
+                pending.append(",")
+            rows(sub, row_ndim, template)
+        pending.append("]")
+
+    for item in plan:
+        if isinstance(item, str):
+            pending.append(item)
+        else:
+            real, row_ndim = item
+            rows(real, row_ndim, _template(real.shape[-row_ndim:]))
+    if pending:
+        write("".join(pending))
+    return None if chunks is None else "".join(chunks)
+
+
+def canonical_json(value, write=None):
+    """Deterministic JSON: sorted keys, compact, 17-significant-digit floats.
+
+    Floats and numpy arrays are written as nested lists of the
+    :func:`_real_parts` encoding.  The whole of ``value`` is checked first
+    (non-finite floats raise ``ValueError``; non-``str`` keys and unknown
+    types raise ``TypeError``), so a failure writes nothing.  The text is
+    then formatted one matrix row at a time and passed to ``write`` in
+    chunks of about one row, so writing a report needs memory for one
+    row of its text, not all of it.  Without ``write``, the text is
+    returned as one string.
+    """
+    plan = []
+    _plan(value, plan)
+    return _write(plan, write)
+
+
+def canonical_text(report, write=None):
+    """The ``key = value`` lines of ``--format text``: one line per leaf of
+    the nested dicts of ``report``, keys dotted and sorted, each value in
+    :func:`canonical_json` form.  Checked, chunked and returned like
+    :func:`canonical_json`."""
+    plan = []
+
+    def leaves(prefix, value):
+        if isinstance(value, dict):
+            for key in _sorted_keys(value):
+                leaves(f"{prefix}.{key}" if prefix else key, value[key])
+        else:
+            plan.append(f"{prefix} = ")
+            _plan(value, plan)
+            plan.append("\n")
+
+    leaves("", report)
+    return _write(plan, write)

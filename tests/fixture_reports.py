@@ -6,9 +6,11 @@ Usage::
 
 Each ``tests/fixtures`` document is run in process through ``cli.main``
 under ``decompose``, ``verify --variant literal``, ``verify --variant
-symmetric``, ``dilate``, ``witness`` and ``extract``.  One file per run,
-``<fixture>.<command>.txt``, holds the exit code, stderr and stdout, so two
-checkouts are compared byte for byte with ``diff -r OUT_A OUT_B``.  The
+symmetric``, ``dilate``, ``witness`` and ``extract``, each in the default
+JSON format and again with ``--format text``.  One file per run,
+``<fixture>.<command>.txt`` (``<command>-text`` for the text format), holds
+the exit code, stderr and stdout, so two checkouts are compared byte for
+byte with ``diff -r OUT_A OUT_B``.  The
 ``dynamap`` package is imported from ``PYTHONPATH``, so the same script
 reports on any checkout.
 """
@@ -21,13 +23,17 @@ from pathlib import Path
 from dynamap import cli
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-COMMANDS = {
+JSON_COMMANDS = {
     "decompose": ["decompose"],
     "verify-literal": ["verify", "--variant", "literal"],
     "verify-symmetric": ["verify", "--variant", "symmetric"],
     "dilate": ["dilate"],
     "witness": ["witness"],
     "extract": ["extract"],
+}
+COMMANDS = {
+    **JSON_COMMANDS,
+    **{f"{name}-text": [*args, "--format", "text"] for name, args in JSON_COMMANDS.items()},
 }
 
 

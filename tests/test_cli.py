@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dynamap import __version__
 from dynamap.cli import main
@@ -514,18 +517,89 @@ def test_witness_eigendecomposes_reduced_state_once(capsys, monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], reduced)
 
 
-def test_fixture_reports_cover_every_fixture_and_command(tmp_path):
+def _fixture_reports():
     sys.path.insert(0, str(Path(__file__).parent))
     try:
         import fixture_reports
     finally:
         sys.path.pop(0)
+    return fixture_reports
+
+
+def test_fixture_reports_cover_every_fixture_and_command(tmp_path):
+    fixture_reports = _fixture_reports()
     codes = fixture_reports.write_reports(tmp_path)
     assert len(codes) == len(list(FIXTURES.glob("*.json"))) * len(fixture_reports.COMMANDS)
     assert set(codes.values()) <= {0, 1, 2, 3}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(codes)
     report = (tmp_path / "transpose_choi.decompose.txt").read_text()
     assert report.startswith("exit: 0\n--- stderr\n--- stdout\n{")
+    report = (tmp_path / "transpose_choi.decompose-text.txt").read_text()
+    assert report.startswith("exit: 0\n--- stderr\n--- stdout\nannihilation.")
+
+
+def test_child_process_stdout_matches_in_process_main():
+    # the real file descriptor behind stdout writes the same bytes as StringIO
+    from concurrent.futures import ThreadPoolExecutor
+
+    fixture_reports = _fixture_reports()
+    runs = []
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        for args in fixture_reports.COMMANDS.values():
+            argv = [args[0], str(fixture), *args[1:]]
+            code, out, _ = fixture_reports.run(argv)
+            if "[[" in out:  # the report holds an array
+                runs.append((argv, code, out))
+    assert {"--format" in argv for argv, _, _ in runs} == {False, True}
+
+    def child(argv):
+        done = subprocess.run([sys.executable, "-m", "dynamap", *argv], capture_output=True,
+                              text=True)
+        return done.returncode, done.stdout
+
+    with ThreadPoolExecutor(2) as pool:
+        for (argv, code, out), got in zip(runs, pool.map(child, [run[0] for run in runs])):
+            assert got == (code, out), argv
+
+
+# stdout buffered as by default, so a failed flush leaves bytes that interpreter
+# shutdown would retry
+_BUFFERED = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
+def _assert_clean_write_failure(code, err):
+    assert code == 1
+    assert err.startswith("error: cannot write report: ") and err.count("\n") == 1, err
+
+
+def test_report_into_a_pipe_closed_early_ends_in_an_error_line(tmp_path):
+    from dynamap.docio import canonical_json
+    from dynamap.generators import random_cptp_kraus
+
+    # a 64-side dilation unitary: a report far larger than a pipe's buffer
+    kraus = random_cptp_kraus(4, 16, np.random.default_rng(0))
+    doc_path = tmp_path / "kraus.json"
+    doc_path.write_text(canonical_json({"kind": "kraus", "dim": 4, "data": kraus.operators}))
+    child = subprocess.Popen([sys.executable, "-m", "dynamap", "dilate", str(doc_path)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_BUFFERED)
+    assert child.stdout.read(20) == b'{"command":"dilate",'
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    _assert_clean_write_failure(child.wait(timeout=60), err)
+    assert "Broken pipe" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["dilate", fix("amplitude_damping_kraus.json"), "--format", "json"],
+    ["dilate", fix("amplitude_damping_kraus.json"), "--format", "text"],
+    ["--version"],
+], ids=["json", "text", "version"])
+def test_stdout_onto_a_full_device_ends_in_an_error_line(argv):
+    with open("/dev/full", "w") as full:
+        child = subprocess.run([sys.executable, "-m", "dynamap", *argv], stdout=full,
+                               stderr=subprocess.PIPE, text=True, env=_BUFFERED)
+    _assert_clean_write_failure(child.returncode, child.stderr)
 
 
 _EDGE_FLOATS = [-0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0, 2.0 ** 52 + 1.0]
@@ -564,3 +638,78 @@ def test_canonical_json_rejects_non_finite_array_entries(bad):
             canonical_json(poisoned)
     with pytest.raises(ValueError):
         canonical_json(np.array(bad))
+
+
+def _nested_floats(array):
+    """``array`` as nested lists of Python floats, complex entries as ``[re, im]``."""
+    if array.ndim:
+        return [_nested_floats(sub) for sub in array]
+    z = array.item()
+    return [z.real, z.imag] if isinstance(z, complex) else float(z)
+
+
+def _rendered(nested):
+    if isinstance(nested, list):
+        return "[" + ",".join(map(_rendered, nested)) + "]"
+    return format(nested, ".17g")
+
+
+_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False,
+                                                             allow_infinity=False))
+
+
+@st.composite
+def _report_arrays(draw):
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3))
+    real = draw(hnp.arrays(float, shape, elements=_FINITE))
+    if not draw(st.booleans()):
+        return real
+    array = np.empty(shape, dtype=complex)
+    array.real = real
+    array.imag = draw(hnp.arrays(float, shape, elements=_FINITE))
+    return array
+
+
+@given(_report_arrays())
+def test_streamed_chunks_join_to_the_canonical_string(array):
+    from dynamap.docio import canonical_json, canonical_text
+
+    text = canonical_json(array)
+    chunks = []
+    assert canonical_json(array, chunks.append) is None
+    assert "".join(chunks) == text == canonical_json(_nested_floats(array))
+    assert text == _rendered(_nested_floats(array))
+    report = {"b": [array, "s", 1, None], "a": {"m": array, "x": 0.5}}
+    for render in (canonical_json, canonical_text):
+        chunks = []
+        render(report, chunks.append)
+        assert "".join(chunks) == render(report)
+    assert canonical_text(report) == (f"a.m = {text}\na.x = 0.5\nb = [{text},\"s\",1,null]\n")
+
+
+def test_serialization_checks_the_whole_report_before_the_first_write():
+    from dynamap.docio import canonical_json, canonical_text
+
+    matrix = np.ones((8, 8), dtype=complex)
+    poisoned = matrix.copy()
+    poisoned[-1, -1] = complex(0.0, np.nan)
+    for report, error in (({"a": matrix, "b": [matrix], "z": poisoned}, ValueError),
+                          ({"a": matrix, "z": {1: 0.5}}, TypeError),
+                          ({"a": matrix, "z": [matrix, object()]}, TypeError)):
+        for render in (canonical_json, canonical_text):
+            chunks = []
+            with pytest.raises(error):
+                render(report, chunks.append)
+            assert chunks == []
+
+
+def test_canonical_json_writes_a_matrix_one_row_at_a_time():
+    from dynamap.docio import canonical_json
+
+    rng = np.random.default_rng(9)
+    matrix = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    chunks = []
+    canonical_json(matrix, chunks.append)
+    assert len(chunks) > 64
+    # each chunk is at most one row's text and the bracket or comma before it
+    assert max(map(len, chunks)) <= 1 + max(len(canonical_json(row)) for row in matrix)
