@@ -13,16 +13,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": (
-        "DynamapError", "DimensionMismatch", "NonHermitianInput", "NotPSD", "NonHermitianChoi",
-        "NotTracePreserving", "SingularJ", "NotCompleteKraus", "NotUnitary",
+        "DynamapError", "DimensionMismatch", "NonHermitianChoi", "NotTracePreserving", "SingularJ",
+        "NotCompleteKraus", "NotUnitary",
     ),
-    "linalg": (
-        "ToleranceConfig", "DEFAULT_TOL", "hermitian_eig", "partial_trace", "kron", "psd_sqrt",
-        "thresholded_pinv",
-    ),
+    "linalg": ("ToleranceConfig", "DEFAULT_TOL", "partial_trace"),
     "maps": (
-        "LinearMap", "DensityMatrix", "KrausSet", "apply_map", "apply_kraus", "a_form",
-        "from_a_form", "kraus_to_map", "map_to_kraus", "choi_eigenvalues", "check_tp",
+        "LinearMap", "DensityMatrix", "KrausSet", "apply_map", "a_form", "from_a_form",
+        "kraus_to_map", "map_to_kraus", "choi_eigenvalues", "check_tp",
         "check_hermiticity_preserving", "check_cp",
     ),
     "channels": (
@@ -34,9 +31,8 @@ _EXPORTS = {
         "split_from_eigensystem", "verify_annihilation", "trace_functionals",
     ),
     "extension": (
-        "ExtendedState", "DimensionReport", "SectorChoiReport", "product_extension",
-        "build_extension", "apply_sector_map", "reconstruct", "sector_choi_report",
-        "dimension_report",
+        "ExtendedState", "DimensionReport", "SectorChoiReport", "build_extension",
+        "apply_sector_map", "reconstruct", "sector_choi_report", "dimension_report",
     ),
     "dilation": (
         "UnitaryDilation", "RoundTripReport", "kraus_to_unitary", "unitarity_residual",

@@ -46,6 +46,15 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID_INPUT)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; on stdout (--version, --help) it is a failed report
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            file.write(message)
+        except OSError as exc:
+            raise _WriteFailed(exc) from None
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynamap", description=__doc__)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import depolarizing_map, transpose_map
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOL, ToleranceConfig, frob, kron, partial_trace, zero_cut
+from .linalg import DEFAULT_TOL, ToleranceConfig, frob, partial_trace, zero_cut
 from .maps import DensityMatrix, LinearMap, apply_map
 
 
@@ -162,7 +162,7 @@ def induced_dynamics(
     joint = phi.projector()
     rho_s = phi.reduced_system()
     rho_e = phi.reduced_environment()
-    correlation = joint - kron(rho_s, rho_e)
+    correlation = joint - np.kron(rho_s, rho_e)
 
     constant = partial_trace(u @ correlation @ u.conj().T, (ns, ne), "b")
 

@@ -9,15 +9,6 @@ class DimensionMismatch(DynamapError):
     """Array shapes are inconsistent with the declared dimensions."""
 
 
-class NonHermitianInput(DynamapError):
-    """A matrix that must be Hermitian fails the Hermiticity residual bound."""
-
-
-class NotPSD(DynamapError):
-    """A matrix that must be positive semidefinite has a negative eigenvalue
-    below the zero threshold."""
-
-
 class NonHermitianChoi(DynamapError):
     """The Choi matrix of a map is not Hermitian, i.e. the map does not
     preserve Hermiticity."""

@@ -41,16 +41,8 @@ import numpy as np
 
 from .cpsplit import CPSplit
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_complex_matrix, frob, kron, max_frob
-from .maps import (
-    DensityMatrix,
-    KrausSet,
-    a_form,
-    apply_map,
-    as_states,
-    check_hermiticity_preserving,
-    from_a_form,
-)
+from .linalg import DEFAULT_TOL, ToleranceConfig, frob, max_frob
+from .maps import KrausSet, a_form, apply_map, as_states, check_hermiticity_preserving, from_a_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +76,6 @@ class DimensionReport:
     extension_dim: int
     dilation_dim: int
     n_squared_bound: int
-
-
-def product_extension(rho, ancilla_dim: int) -> np.ndarray:
-    """The standard product extension ``rho (x) |0><0|`` on a d-dim ancilla."""
-    if ancilla_dim < 1:
-        raise ValueError(f"ancilla_dim must be >= 1, got {ancilla_dim}")
-    if isinstance(rho, DensityMatrix):
-        rho = rho.matrix
-    rho = as_complex_matrix(rho)
-    anc = np.zeros((ancilla_dim, ancilla_dim), dtype=complex)
-    anc[0, 0] = 1.0
-    return kron(rho, anc)
 
 
 def _sector_factors(split: CPSplit, variant: str, inverse: bool):

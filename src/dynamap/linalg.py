@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput, NotPSD
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -104,33 +104,6 @@ def hermiticity_check(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]
     return residual <= tol.residual_abs * max(1.0, frob(m)), residual
 
 
-def _require_square(m: np.ndarray) -> np.ndarray:
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def _require_hermitian(m: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    m = _require_square(m)
-    ok, res = hermiticity_check(m, tol)
-    if not ok:
-        raise NonHermitianInput(f"Hermiticity residual {res:.3e} exceeds tolerance")
-    return m
-
-
-def hermitian_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns ``(values, vectors)`` with real eigenvalues sorted in descending
-    order and orthonormal eigenvectors as the columns of ``vectors``.
-    Raises :class:`NonHermitianInput` when the input fails the Hermiticity
-    residual bound and :class:`DimensionMismatch` when it is not square.
-    """
-    values, vectors = np.linalg.eigh(_require_hermitian(m, tol))
-    return values[::-1], vectors[:, ::-1]
-
-
 def partial_trace(m, dims: tuple[int, int], which: str) -> np.ndarray:
     """Trace out one tensor factor of an operator on a bipartite space.
 
@@ -140,7 +113,9 @@ def partial_trace(m, dims: tuple[int, int], which: str) -> np.ndarray:
     leaves a ``dims[0]`` square matrix.  The full trace is preserved.
     """
     d_a, d_b = dims
-    m = _require_square(m)
+    m = as_complex_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if d_a < 1 or d_b < 1 or m.shape[0] != d_a * d_b:
         raise DimensionMismatch(
             f"matrix of side {m.shape[0]} is not compatible with factors {d_a}x{d_b}"
@@ -151,11 +126,6 @@ def partial_trace(m, dims: tuple[int, int], which: str) -> np.ndarray:
     if which == "b":
         return np.einsum("iaja->ij", t)
     raise ValueError(f"which must be 'a' or 'b', got {which!r}")
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product with the first argument as the slow index."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def zero_cut(values, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -173,35 +143,3 @@ def spectral_power(values, vectors, power: float) -> np.ndarray:
     eigenpairs to keep (a pseudo-inverse or a clamped root drops the rest).
     """
     return (vectors * np.asarray(values, dtype=float) ** power) @ vectors.conj().T
-
-
-def _psd_support(m, tol: ToleranceConfig):
-    """Eigenpairs of a PSD matrix above the zero cut; raises :class:`NotPSD`
-    for an eigenvalue below minus the cut."""
-    values, vectors = hermitian_eig(m, tol)
-    cut = zero_cut(values, tol)
-    if values.size and values[-1] < -cut:
-        raise NotPSD(f"eigenvalue {values[-1]:.3e} below PSD threshold")
-    keep = values > cut
-    return values[keep], vectors[:, keep]
-
-
-def psd_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues within the zero cut (:func:`zero_cut`) are clamped to zero;
-    eigenvalues below minus the cut raise :class:`NotPSD`.
-    """
-    return spectral_power(*_psd_support(m, tol), 0.5)
-
-
-def thresholded_pinv(m, tol: ToleranceConfig = DEFAULT_TOL):
-    """Spectral pseudo-inverse and support projector of a PSD matrix.
-
-    Eigenvalues above the zero cut (:func:`zero_cut`) are inverted; the rest
-    are treated as exact zeros.  Returns ``(pinv, support)`` where
-    ``support`` is the orthogonal projector onto the retained eigenspace, so
-    that ``pinv @ m == support`` up to the residual tolerance.
-    """
-    values, vectors = _psd_support(m, tol)
-    return spectral_power(values, vectors, -1.0), spectral_power(values, vectors, 0.0)

@@ -158,17 +158,6 @@ def apply_map(m: LinearMap, rho) -> np.ndarray:
     return np.einsum("arbs,...rs->...ab", m.choi4, as_states(rho, m.dim))
 
 
-def apply_kraus(kraus: KrausSet, rho, signs=None) -> np.ndarray:
-    """Apply ``sum_i s_i w_i M_i rho M_i^dag`` directly (no Choi matrix)."""
-    rho = as_complex_matrix(rho)
-    if signs is None:
-        signs = np.ones(len(kraus))
-    out = np.zeros_like(rho)
-    for s, w, op in zip(signs, kraus.weights, kraus.operators):
-        out = out + s * w * (op @ rho @ op.conj().T)
-    return out
-
-
 def _reshuffle(m: np.ndarray) -> np.ndarray:
     """The exact index permutation relating the Choi form and the A form."""
     side = m.shape[0]

@@ -565,6 +565,8 @@ def test_child_process_stdout_matches_in_process_main():
 # stdout buffered as by default, so a failed flush leaves bytes that interpreter
 # shutdown would retry
 _BUFFERED = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+# stdout unbuffered, so each write fails at once, inside argparse for --version and --help
+_UNBUFFERED = {**_BUFFERED, "PYTHONUNBUFFERED": "1"}
 
 
 def _assert_clean_write_failure(code, err):
@@ -590,15 +592,20 @@ def test_report_into_a_pipe_closed_early_ends_in_an_error_line(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-@pytest.mark.parametrize("argv", [
-    ["dilate", fix("amplitude_damping_kraus.json"), "--format", "json"],
-    ["dilate", fix("amplitude_damping_kraus.json"), "--format", "text"],
-    ["--version"],
-], ids=["json", "text", "version"])
-def test_stdout_onto_a_full_device_ends_in_an_error_line(argv):
+@pytest.mark.parametrize("argv, env", [
+    (["dilate", fix("amplitude_damping_kraus.json"), "--format", "json"], _BUFFERED),
+    (["dilate", fix("amplitude_damping_kraus.json"), "--format", "text"], _BUFFERED),
+    (["--version"], _BUFFERED),
+    (["--version"], _UNBUFFERED),
+    (["--help"], _BUFFERED),
+    (["--help"], _UNBUFFERED),
+    (["decompose", "--help"], _UNBUFFERED),
+], ids=["json", "text", "version", "version-unbuffered", "help", "help-unbuffered",
+        "subcommand-help-unbuffered"])
+def test_stdout_onto_a_full_device_ends_in_an_error_line(argv, env):
     with open("/dev/full", "w") as full:
         child = subprocess.run([sys.executable, "-m", "dynamap", *argv], stdout=full,
-                               stderr=subprocess.PIPE, text=True, env=_BUFFERED)
+                               stderr=subprocess.PIPE, text=True, env=env)
     _assert_clean_write_failure(child.returncode, child.stderr)
 
 

@@ -19,7 +19,8 @@ from dynamap.generators import (
     random_tp_map_with_kernel,
 )
 from dynamap.linalg import partial_trace
-from dynamap.maps import KrausSet, apply_kraus, apply_map, kraus_to_map, map_to_kraus
+from dynamap.maps import KrausSet, apply_map, kraus_to_map, map_to_kraus
+from oracles import apply_kraus
 
 
 def test_single_identity_kraus():

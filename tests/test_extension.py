@@ -18,7 +18,6 @@ from dynamap.extension import (
     apply_sector_map,
     build_extension,
     dimension_report,
-    product_extension,
     reconstruct,
     sector_choi_report,
 )
@@ -28,29 +27,8 @@ from dynamap.generators import (
     random_tp_map,
     random_tp_map_with_kernel,
 )
-from dynamap.linalg import DEFAULT_TOL, frob, hermiticity_residual, partial_trace
+from dynamap.linalg import DEFAULT_TOL, frob, hermiticity_residual
 from dynamap.maps import LinearMap, apply_map, check_cp, from_a_form, kraus_to_map
-
-
-def test_product_extension_blocks():
-    out = product_extension(np.eye(2) / 2, 2)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 0] = expected[2, 2] = 0.5
-    assert np.allclose(out, expected)
-
-
-def test_product_extension_trivial_ancilla():
-    rng = np.random.default_rng(0)
-    rho = random_density_matrix(3, rng)
-    assert np.allclose(product_extension(rho, 1), rho)
-
-
-def test_product_extension_trace_back():
-    rng = np.random.default_rng(1)
-    for d in (1, 2, 3):
-        rho = random_density_matrix(2, rng)
-        joint = product_extension(rho, d)
-        assert np.linalg.norm(partial_trace(joint, (2, d), "b") - rho) <= 1e-12
 
 
 def test_build_extension_identity_split():
@@ -332,12 +310,11 @@ def test_unknown_variant_is_rejected():
 def _kron_a_forms(split, variant):
     """Reference sector A-forms: the part's A-form times ``kron(left, right.T)``."""
     from dynamap.extension import _sector_factors
-    from dynamap.linalg import kron
     from dynamap.maps import a_form
 
     factors = _sector_factors(split, variant, inverse=True)
     parts = (split.positive_part, split.negative_part)
-    return [a_form(part) @ kron(left, right.T) for part, (left, right) in zip(parts, factors)]
+    return [a_form(part) @ np.kron(left, right.T) for part, (left, right) in zip(parts, factors)]
 
 
 def _sector_maps():

@@ -1,18 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynamap.errors import DimensionMismatch, NonHermitianInput, NotPSD
+from dynamap.cpsplit import split_from_eigensystem
+from dynamap.errors import DimensionMismatch, NonHermitianChoi
+from dynamap.generators import random_tp_map, random_tp_map_with_kernel
 from dynamap.linalg import (
-    DEFAULT_TOL,
     ToleranceConfig,
     frob,
-    hermitian_eig,
-    kron,
     max_frob,
     partial_trace,
-    psd_sqrt,
-    thresholded_pinv,
+    spectral_power,
+    zero_cut,
 )
+from dynamap.maps import LinearMap, choi_eigenvalues
+
+
+def _split(kernel, dim, seed, scale):
+    make = random_tp_map_with_kernel if kernel else random_tp_map
+    m = LinearMap(scale * make(dim, np.random.default_rng(seed)).choi)
+    return split_from_eigensystem(m, *m.eigensystem)  # not TP unless scale is 1
+
+
+# generic and exact-kernel TP maps, and rescaled copies of each
+_MAP_ARGS = dict(
+    kernel=st.booleans(),
+    dim=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e-6, 1e6]),
+)
+_SPLITS = st.builds(_split, **_MAP_ARGS)
+
+
+def _close(a, b, rel=1e-12):
+    return frob(a - b) <= rel * max(frob(a), frob(b))
+
+
+def _kept_power(m, power):
+    """``spectral_power`` over the eigenpairs that ``zero_cut`` keeps, as
+    ``CPSplit`` takes the roots and the pseudo-inverse of a functional."""
+    values, vectors = np.linalg.eigh(m)
+    keep = values > zero_cut(values)
+    return spectral_power(values[keep], vectors[:, keep], power)
 
 
 def _swap_matrix():
@@ -33,43 +63,45 @@ def test_tolerance_config_validation():
     assert cfg.residual_abs == 1e-9
 
 
+# Hermitian eigendecomposition: the cached ``LinearMap.eigensystem``
+
+
 def test_hermitian_eig_identity():
-    values, vectors = hermitian_eig(np.eye(2))
-    assert np.allclose(values, [1.0, 1.0])
-    assert np.allclose(vectors.conj().T @ vectors, np.eye(2))
+    values, vectors = LinearMap(np.eye(4)).eigensystem
+    assert np.allclose(values, 1.0)
+    assert np.allclose(vectors.conj().T @ vectors, np.eye(4))
 
 
 def test_hermitian_eig_diagonal():
-    values, vectors = hermitian_eig(np.diag([3.0, -1.0]))
-    assert np.allclose(values, [3.0, -1.0])
-    assert np.allclose(np.abs(vectors), np.eye(2))
+    values, vectors = LinearMap(np.diag([3.0, -1.0, 0.5, 2.0])).eigensystem
+    assert np.allclose(values, [3.0, 2.0, 0.5, -1.0])
+    assert np.allclose(np.abs(vectors), np.eye(4)[:, [0, 3, 2, 1]])
 
 
 def test_hermitian_eig_swap():
     # independent oracle: eigenvalues of the explicit swap matrix
-    values, vectors = hermitian_eig(_swap_matrix())
+    values, vectors = LinearMap(_swap_matrix()).eigensystem
     assert np.allclose(values, [1.0, 1.0, 1.0, -1.0], atol=1e-12)
     recon = (vectors * values) @ vectors.conj().T
     assert np.linalg.norm(recon - _swap_matrix()) < 1e-12
 
 
 def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(NonHermitianInput):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the eigensystem reads one triangle; its public accessor checks first
+    with pytest.raises(NonHermitianChoi):
+        choi_eigenvalues(LinearMap(np.triu(np.ones((4, 4)))))
     with pytest.raises(DimensionMismatch):
-        hermitian_eig(np.zeros((2, 3)))
+        LinearMap(np.zeros((4, 3)))
 
 
-def test_hermitian_eig_reconstruction_random():
-    rng = np.random.default_rng(7)
-    for n in range(2, 9):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        m = (g + g.conj().T) / 2
-        values, vectors = hermitian_eig(m)
-        assert np.all(np.diff(values) <= 1e-12)  # descending
-        recon = (vectors * values) @ vectors.conj().T
-        assert np.linalg.norm(recon - m) <= 1e-9 * max(1.0, np.linalg.norm(m))
-        assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)) <= 1e-9
+@settings(max_examples=40)
+@given(_SPLITS)
+def test_hermitian_eig_reconstruction_random(split):
+    m = split.source
+    values, vectors = m.eigensystem
+    assert np.all(np.diff(values) <= 0.0)  # descending
+    assert _close((vectors * values) @ vectors.conj().T, m.choi)
+    assert frob(vectors.conj().T @ vectors - np.eye(len(values))) <= 1e-12
 
 
 def test_partial_trace_product_state():
@@ -121,70 +153,73 @@ def test_partial_trace_dimension_mismatch():
 
 
 def test_kron_cases():
-    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
+    # np.kron puts its first factor on the slow index, the one partial_trace calls "a"
+    assert np.allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
     assert np.allclose(
-        kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.diag([0.0, 1.0, 0.0, 0.0])
+        np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.diag([0.0, 1.0, 0.0, 0.0])
     )
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     ket00 = np.zeros(4)
     ket00[0] = 1.0
-    assert np.allclose(kron(sx, sx) @ ket00, [0, 0, 0, 1])
+    assert np.allclose(np.kron(sx, sx) @ ket00, [0, 0, 0, 1])
+    a, b = np.diag([1.0, 2.0]), np.diag([1.0, 0.0, 0.0])
+    assert np.allclose(partial_trace(np.kron(a, b), (2, 3), "a"), np.trace(a) * b)
+
+
+# PSD roots and thresholded pseudo-inverses: ``spectral_power`` over the
+# eigenpairs that ``zero_cut`` keeps, as ``CPSplit`` holds them
 
 
 def test_psd_sqrt_cases():
-    assert np.allclose(psd_sqrt(np.eye(2)), np.eye(2))
-    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    assert np.allclose(psd_sqrt(1.5 * np.eye(2)), np.sqrt(1.5) * np.eye(2))
+    assert np.allclose(_kept_power(np.eye(2), 0.5), np.eye(2))
+    assert np.allclose(_kept_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]))
+    assert np.allclose(_kept_power(1.5 * np.eye(2), 0.5), np.sqrt(1.5) * np.eye(2))
 
 
-def test_psd_sqrt_random_property():
-    rng = np.random.default_rng(13)
-    for n in (2, 3, 4):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        m = g @ g.conj().T
-        root = psd_sqrt(m)
-        assert np.linalg.norm(root @ root - m) <= 1e-9 * max(1.0, np.linalg.norm(m))
-        assert np.linalg.norm(root - root.conj().T) <= 1e-12
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -0.5]))
+@settings(max_examples=40)
+@given(_SPLITS)
+def test_psd_sqrt_random_property(split):
+    plus, minus = split.plus_functional, split.minus_functional
+    assert _close(split.plus_sqrt @ split.plus_sqrt, plus)
+    assert _close(split.minus_sqrt @ split.minus_sqrt, minus)
+    assert _close(split.plus_inv_sqrt @ split.plus_inv_sqrt, split.plus_inv)
+    assert _close(split.minus_pinv_sqrt @ split.minus_pinv_sqrt, split.minus_pinv)
+    for root in (split.plus_sqrt, split.minus_sqrt):
+        assert _close(root, root.conj().T)
+        assert np.linalg.eigvalsh(root)[0] >= -1e-12 * frob(root)
 
 
 def test_thresholded_pinv_diagonal():
     # oracle: invert the diagonal entries directly
-    pinv, support = thresholded_pinv(np.diag([0.5, 0.5]))
-    assert np.allclose(pinv, np.diag([2.0, 2.0]))
-    assert np.allclose(support, np.eye(2))
+    assert np.allclose(_kept_power(np.diag([0.5, 0.5]), -1.0), np.diag([2.0, 2.0]))
+    assert np.allclose(_kept_power(np.diag([0.5, 0.5]), 0.0), np.eye(2))
 
 
 def test_thresholded_pinv_zero_matrix():
-    pinv, support = thresholded_pinv(np.zeros((3, 3)))
-    assert np.allclose(pinv, 0.0)
-    assert np.allclose(support, 0.0)
+    assert np.allclose(_kept_power(np.zeros((3, 3)), -1.0), 0.0)
+    assert np.allclose(_kept_power(np.zeros((3, 3)), 0.0), 0.0)
 
 
 def test_thresholded_pinv_rank_one():
-    pinv, support = thresholded_pinv(np.diag([2.0, 0.0]))
-    assert np.allclose(pinv, np.diag([0.5, 0.0]))
-    assert np.allclose(support, np.diag([1.0, 0.0]))
+    assert np.allclose(_kept_power(np.diag([2.0, 0.0]), -1.0), np.diag([0.5, 0.0]))
+    assert np.allclose(_kept_power(np.diag([2.0, 0.0]), 0.0), np.diag([1.0, 0.0]))
 
 
-def test_thresholded_pinv_random_properties():
-    rng = np.random.default_rng(17)
-    for n in (2, 3, 4):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        m = g @ g.conj().T
-        pinv, support = thresholded_pinv(m)
-        assert np.linalg.norm(pinv @ m @ pinv - pinv) <= 1e-9 * max(1.0, np.linalg.norm(pinv))
-        assert np.linalg.norm(m @ pinv @ m - m) <= 1e-9 * max(1.0, np.linalg.norm(m))
-        assert np.linalg.norm(pinv @ m - support) <= DEFAULT_TOL.residual_abs
-
-
-def test_thresholded_pinv_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        thresholded_pinv(np.diag([1.0, -1.0]))
+@settings(max_examples=40)
+@given(**_MAP_ARGS)
+def test_thresholded_pinv_random_properties(kernel, dim, seed, scale):
+    split = _split(kernel, dim, seed, scale)
+    f, p, support = split.minus_functional, split.minus_pinv, split.support_projector
+    # the Moore-Penrose identities
+    assert _close(f @ p @ f, f)
+    assert _close(p @ f @ p, p)
+    assert _close(f @ p, (f @ p).conj().T)
+    assert _close(p @ f, (p @ f).conj().T)
+    assert frob(p @ f - support) <= 1e-12 * dim
+    # an exact-kernel map leaves one direction out: the functional is singular
+    assert split.kernel_basis.shape[1] == 1 or not kernel
+    assert abs(np.trace(support) - (dim - split.kernel_basis.shape[1])) <= 1e-12
+    assert frob(split.plus_inv @ split.plus_functional - np.eye(dim)) <= 1e-12
 
 
 def test_frob_of_finite_entries_too_large_to_square_is_finite():

@@ -22,7 +22,6 @@ from dynamap.maps import (
     KrausSet,
     LinearMap,
     a_form,
-    apply_kraus,
     apply_map,
     check_cp,
     check_tp,
@@ -33,6 +32,7 @@ from dynamap.maps import (
     sign_split,
     weighted_choi,
 )
+from oracles import apply_kraus
 
 
 def test_apply_identity():
