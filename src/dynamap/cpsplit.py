@@ -154,7 +154,9 @@ def cp_split(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> CPSplit:
 def split_from_eigensystem(
     m: LinearMap, values, vectors, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CPSplit:
-    """Assemble a :class:`CPSplit` from a given Choi eigensystem.
+    """Assemble a :class:`CPSplit` from a given Choi eigensystem, eigenvalues
+    descending as :attr:`LinearMap.eigensystem` gives them (:func:`sign_split`
+    raises ``ValueError`` otherwise).
 
     Exposed separately so that basis invariance under eigenvalue degeneracy
     can be exercised: any orthonormal basis of each degenerate eigenspace
@@ -170,9 +172,10 @@ def split_from_eigensystem(
 
     j_vals, j_vecs = np.linalg.eigh(plus_functional)
     k_vals, k_vecs = np.linalg.eigh(minus_functional)
-    keep = k_vals > zero_cut(k_vals, tol)
-    support_basis = k_vecs[:, keep]
-    support_vals = k_vals[keep]
+    # ascending, so the kernel is a leading slice and the support the rest
+    kernel_dim = int(np.count_nonzero(k_vals <= zero_cut(k_vals, tol)))
+    support_basis = k_vecs[:, kernel_dim:]
+    support_vals = k_vals[kernel_dim:]
 
     return CPSplit(
         source=m,
@@ -188,7 +191,7 @@ def split_from_eigensystem(
         minus_sqrt=spectral_power(support_vals, support_basis, 0.5),
         minus_pinv_sqrt=spectral_power(support_vals, support_basis, -0.5),
         support_projector=spectral_power(support_vals, support_basis, 0.0),
-        kernel_basis=k_vecs[:, ~keep],
+        kernel_basis=k_vecs[:, :kernel_dim],
         support_basis=support_basis,
         tol=tol,
     )

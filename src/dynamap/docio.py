@@ -16,15 +16,26 @@ string forms are accepted.  Documents may carry an optional nonnegative
 integer ``seed`` and an optional ``tolerances`` object overriding
 ``zero_eig_rel`` and ``residual_abs``.
 
+A compact matrix document (``choi``, ``superop_a``, ``superop_b``) is
+parsed without nested lists.  Its one ``"data":[[[`` span is cut out and
+the rest of the document, ``null`` in its place, is loaded and checked
+as usual.  The span must have the skeleton of a ``(dim^2, dim^2, 2)``
+array once its number characters are deleted, so whitespace, letters
+(``true``, ``null``, ``NaN``) and wrong shapes fail there.  Its numbers,
+inner brackets blanked, are one flat ``json.loads`` list, so each keeps
+the JSON number grammar, and one ``np.array`` call converts them; the
+raw bytes are released once that array is accepted.  Any other document,
+and any span that fails a check, takes the full path below.
+
 Each array (map ``data``, the Kraus stack, ``state``, ``unitary``) is
-converted by one ``np.array`` call on the loaded lists.  The result is
-kept only when it is a real or integer array of the expected shape with
-a trailing pair axis and finite entries; strings, ``null``, ragged rows,
+converted by one ``np.array`` call on the loaded lists.  On both paths
+the result is kept only when it is a real or integer array of the
+expected size and finite entries; strings, ``null``, ragged rows,
 out-of-range integers, ``NaN`` and infinities all fail that test.  Every
 other array goes through a per-scalar walker, which alone reports errors
 with the JSON path of the first offending entry.  ``np.array`` reads
 ``true``/``false`` as numbers, so a document whose bytes contain either
-literal is walked in full.  Both paths give bit-identical arrays.
+literal is walked in full.  All paths give bit-identical arrays.
 
 Reports are serialized by :func:`canonical_json`: keys sorted, no
 whitespace, floats rendered with 17 significant digits.  Report values may
@@ -48,7 +59,8 @@ from .errors import DocumentError
 from .linalg import ToleranceConfig
 from .maps import KrausSet, LinearMap, from_a_form, kraus_to_map
 
-MAP_KINDS = ("kraus", "choi", "superop_a", "superop_b")
+_MATRIX_KINDS = ("choi", "superop_a", "superop_b")
+MAP_KINDS = ("kraus",) + _MATRIX_KINDS
 ALL_KINDS = MAP_KINDS + ("joint_dynamics",)
 
 
@@ -147,17 +159,81 @@ def _parse_tolerances(node, path):
         raise DocumentError(path, str(exc)) from None
 
 
+_INNER_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+def _skeleton(side: int) -> bytes:
+    """A ``(side, side, 2)`` array in compact JSON with its numbers deleted."""
+    row = b"[" + b",".join([b"[,]"] * side) + b"]"
+    return b"[" + b",".join([row] * side) + b"]"
+
+
+def _matrix_document(raw: bytes):
+    """``(doc, matrix)`` of a compact matrix document, ``doc`` holding
+    ``null`` as its ``data``; ``None`` sends the document to the full path.
+
+    The span is the value after the one ``"data"`` of the document: with no
+    backslash in the rest, that string is the top-level key the loaded
+    ``doc`` has.  Its numbers are parsed before ``doc`` is returned, so
+    the caller's checks of ``doc`` run only on valid JSON, as on the full
+    path.
+    """
+    start = raw.find(b'"data":[[[') + 7
+    end = raw.find(b"]]]", start) + 3
+    if start < 7 or end < 3 or raw.startswith(b"[[[[", start):  # none, or a Kraus stack
+        return None
+    rest = raw[:start] + b"null" + raw[end:]
+    if b"\\" in rest or rest.count(b'"data"') != 1:
+        return None
+    try:
+        doc = json.loads(rest.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict) or "data" not in doc or doc.get("kind") not in _MATRIX_KINDS:
+        return None
+    dim = doc.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        return None
+    side = dim * dim
+    span = bytearray(memoryview(raw)[start:end])
+    skeleton = span.translate(None, b"0123456789.eE+-")
+    # the length check first bounds the expected skeleton by the input size
+    if len(skeleton) != 4 * side * side + 2 * side + 1 or skeleton != _skeleton(side):
+        return None
+    # inner brackets become spaces, so the text is one flat list, built in place
+    text = span.translate(_INNER_BRACKETS)
+    del span, skeleton
+    text[0], text[-1] = b"[]"
+    text = text.decode("ascii")
+    try:
+        numbers = json.loads(text)
+        del text
+        pairs = np.array(numbers)
+    except (ValueError, OverflowError):  # JSON number grammar, out-of-range integers
+        return None
+    del numbers
+    if pairs.dtype.kind not in "fi" or pairs.size != 2 * side * side or not np.isfinite(pairs).all():
+        return None
+    return doc, np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(side, side)
+
+
 def parse_document(raw: bytes) -> ParsedDocument:
     """Validate raw JSON bytes into a :class:`ParsedDocument`."""
     digest = hashlib.sha256(raw).hexdigest()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # decode errors, int digit limit, deep nesting
-        raise DocumentError("$", f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DocumentError("$", "document must be a JSON object")
-    # np.array reads true/false as 1/0 among numbers; such documents are walked
-    fast = b"true" not in raw and b"false" not in raw
+    parsed = _matrix_document(raw)
+    if parsed is not None:
+        doc, matrix = parsed
+        fast = True  # read only for the arrays of other kinds, which take the full path
+    else:
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # decode errors, int digit limit, deep nesting
+            raise DocumentError("$", f"not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise DocumentError("$", "document must be a JSON object")
+        # np.array reads true/false as 1/0 among numbers; such documents are walked
+        matrix, fast = None, b"true" not in raw and b"false" not in raw
+    del raw, parsed  # the document's bytes, unless the caller holds them too
 
     kind = doc.get("kind")
     if kind not in ALL_KINDS:
@@ -220,7 +296,8 @@ def parse_document(raw: bytes) -> ParsedDocument:
                               seed=seed, tol=tol, digest=digest)
 
     side = dim * dim
-    matrix = _complex_array(data, "$.data", (side, side), fast)
+    if matrix is None:
+        matrix = _complex_array(data, "$.data", (side, side), fast)
     if kind == "superop_a":
         linear_map = from_a_form(matrix)
     else:  # choi and superop_b are synonyms

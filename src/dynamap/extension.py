@@ -41,8 +41,8 @@ import numpy as np
 
 from .cpsplit import CPSplit
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, ToleranceConfig, frob, max_frob
-from .maps import KrausSet, a_form, apply_map, as_states, check_hermiticity_preserving, from_a_form
+from .linalg import DEFAULT_TOL, ToleranceConfig, frob, hermiticity_check, max_frob
+from .maps import KrausSet, LinearMap, apply_map, as_states
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,20 +140,19 @@ def reconstruct(split: CPSplit, rho, variant: str = "literal"):
     return result, max_frob(result - apply_map(split.source, rho))
 
 
-def _sector_a_forms(split: CPSplit, variant: str):
-    """A-form matrices of the plus and minus sector maps.
+def _sector_choi(part: LinearMap, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Choi matrix of the sector map ``X -> part(left @ X @ right)``.
 
-    Each is ``a_form(part) @ kron(left, right.T)``; row ``i`` of that
-    product, read as an N x N matrix ``R_i``, is ``left.T @ R_i @ right.T``,
-    so one stacked product builds it without the ``kron``.
+    Its block ``[a, :, b, :]`` is ``left.T @ P_ab @ right.T`` for the block
+    ``P_ab`` of the part's Choi matrix, so one stacked product over the
+    blocks builds it without a ``kron``, and the second factor writes it
+    straight into Choi order.
     """
-    n = split.dim
-    factors = _sector_factors(split, variant, inverse=True)
-    parts = (split.positive_part, split.negative_part)
-    return tuple(
-        (left.T @ a_form(part).reshape(-1, n, n) @ right.T).reshape(n * n, n * n)
-        for part, (left, right) in zip(parts, factors)
-    )
+    n = part.dim
+    choi = np.empty((n, n, n, n), dtype=complex)
+    blocks = part.choi4.transpose(0, 2, 1, 3)  # [a, b, :, :]
+    np.matmul(left.T @ blocks, right.T, out=choi.transpose(0, 2, 1, 3))
+    return choi.reshape(n * n, n * n)
 
 
 def _gram_min_eig(kraus: KrausSet, root: np.ndarray) -> float:
@@ -194,29 +193,43 @@ class SectorChoiReport:
     full_min_eig: float | None
 
 
-def sector_choi_report(
-    split: CPSplit, variant: str, tol: ToleranceConfig = DEFAULT_TOL
-) -> SectorChoiReport:
-    """Measure Hermiticity and positivity of the sector maps for a variant."""
-    keep = 2 if split.has_negative_part else 1
-    # the A-forms (N^2 x N^2 each) are freed here, not held through the eigensolves below
-    sectors = [from_a_form(a) for a in _sector_a_forms(split, variant)[:keep]]
-    oks, residuals = zip(*(check_hermiticity_preserving(m, tol) for m in sectors))
-    full_res = math.hypot(*residuals)
-    full_ok = full_res <= tol.residual_abs * max(1.0, math.hypot(*(frob(m.choi) for m in sectors)))
-    # the eigensolver reads one triangle, so a sector that fails its own
-    # Hermiticity verdict still has a spectrum inside a Hermitian full Choi
-    spectral = [ok or full_ok for ok in oks]
+def _sector_min_eig(variant: str, sector) -> float:
+    """Minimum eigenvalue of a sector's Choi matrix; ``sector`` is
+    ``(part, kraus, (left, right))``."""
+    part, kraus, (left, right) = sector
     if variant == "symmetric":
         # a sector evolves by the Kraus operators L_i @ root, so its Choi is
         # W W^dag and the small Gram matrix W^dag W carries its spectrum
-        factors = _sector_factors(split, variant, inverse=True)
-        kraus = (split.positive_kraus, split.negative_kraus)
-        min_eigs = [_gram_min_eig(k, root) if want else None
-                    for want, k, (root, _) in zip(spectral, kraus, factors)]
-    else:
-        min_eigs = [float(m.eigensystem[0][-1]) if want else None
-                    for want, m in zip(spectral, sectors)]
+        return _gram_min_eig(kraus, left)
+    return float(np.linalg.eigh(_sector_choi(part, left, right))[0][0])
+
+
+def sector_choi_report(
+    split: CPSplit, variant: str, tol: ToleranceConfig = DEFAULT_TOL
+) -> SectorChoiReport:
+    """Measure Hermiticity and positivity of the sector maps for a variant.
+
+    One sector's Choi matrix is alive at a time: each is built for its
+    Hermiticity residual and norm, freed, and built again for its spectrum
+    when one is wanted (an N^5 product beside the N^6 eigensolver).
+    """
+    sectors = list(zip(
+        (split.positive_part, split.negative_part),
+        (split.positive_kraus, split.negative_kraus),
+        _sector_factors(split, variant, inverse=True),
+    ))[: 2 if split.has_negative_part else 1]
+    measured = []
+    for part, _, (left, right) in sectors:
+        choi = _sector_choi(part, left, right)
+        measured.append((*hermiticity_check(choi, tol), frob(choi)))
+        del choi
+    oks, residuals, norms = zip(*measured)
+    full_res = math.hypot(*residuals)
+    full_ok = full_res <= tol.residual_abs * max(1.0, math.hypot(*norms))
+    # the eigensolver reads one triangle, so a sector that fails its own
+    # Hermiticity verdict still has a spectrum inside a Hermitian full Choi
+    min_eigs = [_sector_min_eig(variant, sector) if ok or full_ok else None
+                for ok, sector in zip(oks, sectors)]
     full_min = None
     if full_ok:
         # two sectors leave zero rows and columns in the padded full Choi

@@ -4,11 +4,15 @@ Every function takes an explicit ``numpy.random.Generator`` so that runs are
 reproducible, except ``seeded_stack``, which takes the seed of a fresh one.
 Two generators deserve a note:
 
-* ``random_tp_map`` draws trace-preserving, Hermiticity-preserving maps with
-  full-measure coverage of the non-completely-positive region: it mixes a
-  low-rank PSD Choi block with a scaled indefinite Hermitian perturbation
-  (the scale is capped so the output-traced matrix stays positive definite)
-  and then conjugates the input index to make trace preservation exact.
+* ``random_tp_map`` draws trace-preserving, Hermiticity-preserving maps,
+  most of them not completely positive: it mixes a low-rank PSD Choi block
+  with a scaled indefinite Hermitian perturbation (the scale is capped so
+  the output-traced matrix stays positive definite) and then conjugates the
+  input index to make trace preservation exact.  The map is CP when the
+  perturbation stays positive on the kernel of the block.  At dim 2 that
+  kernel has dimension 2 and some draws are CP (13 of seeds 0-299, seed 16
+  the first); at dim 3 and 4 none of those 300 seeds is.  A caller that
+  needs a negative part checks for it.
 
 * ``random_tp_map_with_kernel`` produces maps whose negative canonical
   operators all annihilate a common vector, so the minus-part trace
@@ -67,7 +71,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_tp_map(dim: int, rng: np.random.Generator, n_kraus: int | None = None) -> LinearMap:
-    """Random trace-preserving Hermiticity-preserving map (generically NCP)."""
+    """Random trace-preserving Hermiticity-preserving map, usually NCP; at
+    ``dim`` 2 some draws are CP (see the module docstring)."""
     if n_kraus is None:
         n_kraus = dim
     while True:

@@ -42,11 +42,14 @@ class LinearMap:
     ``check_hermiticity_preserving`` and ``check_cp`` and cached per
     tolerance configuration; the Choi eigensystem is computed once, on first
     use.  ``choi`` is a read-only private copy, so neither cache can go
-    stale.
+    stale; an array that owns its data and is read-only already, as
+    :func:`kraus_to_map` hands over the matrix it built, is kept uncopied.
     """
 
     def __init__(self, choi):
-        choi = np.array(as_complex_matrix(choi))
+        choi = as_complex_matrix(choi)
+        if choi.flags.writeable or not choi.flags.owndata:
+            choi = choi.copy()
         side = choi.shape[0]
         if choi.shape[0] != choi.shape[1]:
             raise DimensionMismatch(f"Choi matrix must be square, got {choi.shape}")
@@ -153,9 +156,16 @@ def as_states(rho, dim: int) -> np.ndarray:
 
 
 def apply_map(m: LinearMap, rho) -> np.ndarray:
-    """Apply a map through its Choi form to one matrix, or to each matrix of
-    a stack ``(..., N, N)``."""
-    return np.einsum("arbs,...rs->...ab", m.choi4, as_states(rho, m.dim))
+    """Apply a map to one matrix, or to each matrix of a stack ``(..., N, N)``.
+
+    Each state is one vector-matrix product (GEMV) of its row-major
+    vectorization with the transposed A form, so a state's result does not
+    depend on the stack it is in; one matrix product over the whole stack
+    would round differently with the stack size.
+    """
+    rho = as_states(rho, m.dim)
+    n2 = m.dim * m.dim
+    return (rho.reshape(-1, 1, n2) @ a_form(m).T).reshape(rho.shape)
 
 
 def _reshuffle(m: np.ndarray) -> np.ndarray:
@@ -196,22 +206,28 @@ def kraus_to_map(kraus: KrausSet, signs=None) -> LinearMap:
     signs = np.asarray(signs, dtype=float)
     if signs.shape != (len(kraus),):
         raise DimensionMismatch("signs must match the number of operators")
-    return LinearMap(weighted_choi(kraus.operators, signs * kraus.weights))
+    choi = weighted_choi(kraus.operators, signs * kraus.weights)
+    choi.flags.writeable = False  # handed over: no one else holds it
+    return LinearMap(choi)
 
 
 def sign_split(values, vectors, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
     """Group a Choi eigensystem by sign into ``(positive, negative)`` Kraus sets.
 
-    Eigenvectors with eigenvalue above the zero cut become
-    Hilbert-Schmidt-orthonormal operators weighted by the eigenvalue, those
-    below minus the cut are weighted by its absolute value, and eigenvalues
-    within the cut are discarded from both.
+    ``values`` must be sorted descending, as :attr:`LinearMap.eigensystem`
+    gives them, so each group is a slice.  Eigenvectors with eigenvalue
+    above the zero cut become Hilbert-Schmidt-orthonormal operators weighted
+    by the eigenvalue, those below minus the cut are weighted by its
+    absolute value, and eigenvalues within the cut are discarded from both.
     """
     values = np.asarray(values, dtype=float)
-    ops = np.asarray(vectors, dtype=complex).T.reshape(-1, dim, dim)
+    if np.any(values[1:] > values[:-1]):
+        raise ValueError("eigenvalues must be sorted descending")
+    ops = np.asarray(vectors, dtype=complex).T.reshape(-1, dim, dim)  # a view of the columns
     cut = zero_cut(values, tol)
-    pos, neg = values > cut, values < -cut
-    return KrausSet(ops[pos], values[pos]), KrausSet(ops[neg], -values[neg])
+    n_pos = int(np.count_nonzero(values > cut))
+    neg = len(values) - int(np.count_nonzero(values < -cut))
+    return KrausSet(ops[:n_pos], values[:n_pos]), KrausSet(ops[neg:], -values[neg:])
 
 
 def require_hermiticity_preserving(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):

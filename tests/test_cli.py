@@ -538,6 +538,37 @@ def test_fixture_reports_cover_every_fixture_and_command(tmp_path):
     assert report.startswith("exit: 0\n--- stderr\n--- stdout\nannihilation.")
 
 
+def test_compact_fixtures_report_as_their_pretty_originals(tmp_path, monkeypatch):
+    # the fixtures are pretty-printed, so only their compact copies take the
+    # list-light parse of matrix documents
+    import hashlib
+
+    from dynamap import docio
+
+    fixture_reports = _fixture_reports()
+    list_light = []
+    real = docio._matrix_document
+
+    def recording(raw):
+        parsed = real(raw)
+        list_light.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(docio, "_matrix_document", recording)
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        pretty = fixture.read_bytes()
+        compact = json.dumps(json.loads(pretty), separators=(",", ":")).encode()
+        copy = tmp_path / fixture.name
+        copy.write_bytes(compact)
+        digests = [hashlib.sha256(raw).hexdigest() for raw in (pretty, compact)]
+        for args in fixture_reports.COMMANDS.values():
+            want = fixture_reports.run([args[0], str(fixture), *args[1:]])
+            code, out, err = fixture_reports.run([args[0], str(copy), *args[1:]])
+            assert (code, out.replace(*digests[::-1]), err) == want, (fixture.name, args)
+    # the compact copies of the five matrix fixtures take it, under every command
+    assert list_light.count(True) == 5 * len(fixture_reports.COMMANDS)
+
+
 def test_child_process_stdout_matches_in_process_main():
     # the real file descriptor behind stdout writes the same bytes as StringIO
     from concurrent.futures import ThreadPoolExecutor

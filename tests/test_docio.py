@@ -9,6 +9,7 @@ fail with the same JSON path and message.
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -259,3 +260,143 @@ def test_parse_matches_the_walker_on_drawn_nested_lists(data):
         arrays[name] = _corrupt(arrays[name], index, data.draw(_ODD))
     raw = _raw(_document(kind, dim, arrays))
     assert _outcome(raw) == _reference_outcome(raw)
+
+
+# --- compact matrix documents: the list-light path against the full path ---
+
+MATRIX_KINDS = ("choi", "superop_a", "superop_b")
+
+
+def _compact(doc, literals=()):
+    """Compact JSON bytes of ``doc``, literals substituted as in :func:`_raw`."""
+    text = json.dumps(doc, separators=(",", ":"))
+    for k, literal in enumerate(literals):
+        text = text.replace(f'"@{k}"', literal)
+    return text.encode()
+
+
+def _full_path_outcome(raw: bytes):
+    with mock.patch.object(docio, "_matrix_document", lambda raw: None):
+        return _outcome(raw)
+
+
+def _matrix_doc(kind="choi", dim=2, data=None, **extra):
+    side = dim * dim
+    if data is None:
+        data = _edge_pairs((side, side))
+    return {"kind": kind, "dim": dim, "data": data, **extra}
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_compact_matrix_parse_is_bitwise_the_full_parse(kind):
+    # ints, -0, -0.0, 5e-324, 2**53 + 1 and 1e150 among floats
+    data = _edge_pairs((4, 4))
+    data[3][3] = ["@0", "@1"]
+    raw = _compact(_matrix_doc(kind, data=data, seed=5), ("-0", "2e-308"))
+    assert b"-0," in raw and b"5e-324" in raw and str(2 ** 53 + 1).encode() in raw
+    assert docio._matrix_document(raw) is not None
+
+    def no_walk(*args):
+        raise AssertionError("a compact matrix document took the walker")
+
+    with mock.patch.object(docio, "_walk", no_walk), \
+            mock.patch.object(docio, "_complex_array", no_walk):
+        got = _outcome(raw)
+    assert isinstance(got, dict) and got == _full_path_outcome(raw) == _reference_outcome(raw)
+
+
+@pytest.mark.parametrize("extra", [0, 2 ** 63 + 1], ids=["int64", "above_2_63"])
+def test_compact_integer_matrix_is_converted_like_the_full_parse(extra):
+    data = [[[i - j, (i * j) % 3] for j in range(4)] for i in range(4)]
+    data[2][1][1] = extra
+    raw = _compact(_matrix_doc(data=data))
+    assert docio._matrix_document(raw) is not None
+    assert _outcome(raw) == _full_path_outcome(raw) == _reference_outcome(raw)
+
+
+def _duplicate(first, second):
+    return b'{"kind":"choi","dim":1,"data":%s,"data":%s}' % (first, second)
+
+
+# documents the list-light path hands to the full path: (raw, is it valid)
+_FALLBACKS = {
+    "whitespace": (_raw(_matrix_doc()), True),
+    "duplicate_data_null_last": (_duplicate(b"[[[1,0]]]", b"null"), False),
+    "duplicate_data_array_last": (_duplicate(b"5", b"[[[1,0]]]"), True),
+    "duplicate_data_both_arrays": (_duplicate(b"[[[1,0]]]", b"[[[2,0]]]"), True),
+    "key_ending_in_escaped_data":
+        (b'{"kind":"choi","dim":1,"x\\"data":[[[1,0]]],"data":[[[2,0]]]}', True),
+    "escaped_data_key_alone": (b'{"kind":"choi","dim":1,"x\\"data":[[[1,0]]]}', False),
+    "unicode_escaped_top_level_data": (
+        b'{"kind":"choi","dim":1,"\\u0064ata":null,"meta":{"data":[[[1,0]]]}}', False),
+    "nested_data_alone": (b'{"kind":"choi","dim":1,"meta":{"data":[[[1,0]]]}}', False),
+    "nested_data_and_top_level":
+        (b'{"kind":"choi","dim":1,"meta":{"data":[[[1,0]]]},"data":[[[2,0]]]}', True),
+    "true": (_compact(_matrix_doc(data=_corrupt(_edge_pairs((4, 4)), (1, 2, 0), True))), False),
+    "null": (_compact(_matrix_doc(data=_corrupt(_edge_pairs((4, 4)), (0, 3, 1), None))), False),
+    "nan": (_compact(_matrix_doc(data=_corrupt(_edge_pairs((4, 4)), (2, 2, 0), "@0")),
+                     ("NaN",)), False),
+    "too_few_rows": (_compact(_matrix_doc(data=_edge_pairs((3, 4)))), False),
+    "too_many_rows": (_compact(_matrix_doc(data=_edge_pairs((5, 4)))), False),
+    "three_element_pair":
+        (_compact(_matrix_doc(data=_corrupt(_edge_pairs((4, 4)), (0, 1), [1, 2, 3]))), False),
+    "overflow_float": (_compact(_matrix_doc(data=_corrupt(_edge_pairs((4, 4)), (3, 0, 1), "@0")),
+                                ("1e400",)), False),
+    # numpy holds integers above 2**63 alone as uint64, among others as float64
+    "integer_above_2_63": (_compact(_matrix_doc(data=[[[2 ** 63 + 1, 2 ** 64 - 1]]], dim=1)), True),
+    "huge_integer": (_compact(_matrix_doc(data=[[[10 ** 400, 0]]], dim=1)), False),
+    "not_json_number": (b'{"kind":"choi","dim":1,"data":[[[01,0]]]}', False),
+    "empty_number": (b'{"kind":"choi","dim":1,"data":[[[,0]]]}', False),
+    "dim_zero": (b'{"kind":"choi","dim":0,"data":[[[1,0]]]}', False),
+    "kraus_kind": (b'{"kind":"kraus","dim":1,"data":[[[1,0]]]}', False),
+    "kraus_stack": (b'{"kind":"kraus","dim":1,"data":[[[[1,0]]],[[[0,1]]]]}', True),
+    "unterminated": (b'{"kind":"choi","dim":1,"data":[[[1,0]]', False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FALLBACKS))
+def test_irregular_compact_documents_take_the_full_path(name):
+    raw, valid = _FALLBACKS[name]
+    assert docio._matrix_document(raw) is None
+    got = _outcome(raw)
+    assert got == _full_path_outcome(raw)
+    assert isinstance(got, dict) == valid
+
+
+def test_header_errors_of_compact_documents_match_the_full_path():
+    for doc in (_matrix_doc(seed=-3), _matrix_doc(tolerances={"zero_eig_rel": 2.0}),
+                _matrix_doc(kind="choi ")):
+        raw = _compact(doc)
+        got = _outcome(raw)
+        assert got[0] == "error" and got == _full_path_outcome(raw)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_compact_parse_matches_the_full_path_on_drawn_matrices(data):
+    kind = data.draw(st.sampled_from(MATRIX_KINDS))
+    dim = data.draw(st.integers(1, 2))
+    shape = (dim * dim, dim * dim)
+    array = _draw_array(data, shape)
+    for _ in range(data.draw(st.integers(0, 1))):
+        depth = data.draw(st.integers(1, 3))
+        index = tuple(data.draw(st.integers(0, size - 1)) for size in (shape + (2,))[:depth])
+        array = _corrupt(array, index, data.draw(_ODD))
+    raw = _compact(_matrix_doc(kind, dim, array))
+    assert _outcome(raw) == _full_path_outcome(raw)
+
+
+def test_compact_matrix_parse_peak_stays_below_eight_matrices():
+    # N=16: 2.6 MB of text for one complex 256 x 256 matrix (1 MiB); the
+    # nested lists of the full parse peaked at 12 such matrices traced
+    unit = 256 * 256 * 16
+    pairs = np.random.default_rng(3).standard_normal((256, 256, 2))
+    raw = _compact(_matrix_doc(dim=16, data=pairs.tolist()))
+    tracemalloc.start()
+    try:
+        doc = parse_document(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.linear_map.choi.view(float).tobytes() == pairs.tobytes()
+    assert peak < 8 * unit

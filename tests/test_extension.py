@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,11 +178,10 @@ def test_sector_choi_report_cp_input_reduces_to_map():
     rep = sector_choi_report(s, "literal")
     assert rep.plus_min_eig >= -1e-10
     # plus functional is the identity, so the plus sector map is the map itself
-    from dynamap.extension import _sector_a_forms
-    from dynamap.maps import a_form
+    from dynamap.extension import _sector_choi, _sector_factors
 
-    a_plus, _ = _sector_a_forms(s, "literal")
-    assert np.allclose(a_plus, a_form(m), atol=1e-9)
+    (left, right), _ = _sector_factors(s, "literal", inverse=True)
+    assert np.allclose(_sector_choi(s.positive_part, left, right), m.choi, atol=1e-9)
 
 
 def test_sector_choi_report_transpose_scalar_functionals_are_cp():
@@ -211,10 +212,8 @@ def test_sector_choi_report_generic_map():
 def _padded_direct_sum_stats(split, variant, tol=DEFAULT_TOL):
     """Reference: build the extended-space Choi matrix explicitly, sector
     Choi matrices on the diagonal blocks padded with zeros, and measure it."""
-    from dynamap.extension import _sector_a_forms
-
     n = split.dim
-    a_forms = _sector_a_forms(split, variant)
+    a_forms = _kron_a_forms(split, variant)
     sectors = a_forms if split.has_negative_part else a_forms[:1]
     full = len(sectors) * n
     choi4 = np.zeros((full,) * 4, dtype=complex)
@@ -325,12 +324,15 @@ def _sector_maps():
 
 @pytest.mark.parametrize("variant", ["literal", "symmetric"])
 def test_sandwich_a_forms_match_the_kron_product(variant):
-    from dynamap.extension import _sector_a_forms
+    from dynamap.extension import _sector_choi, _sector_factors
 
     for m in _sector_maps():
         s = cp_split(m)
-        for got, want in zip(_sector_a_forms(s, variant), _kron_a_forms(s, variant)):
-            assert np.abs(got - want).max() <= 1e-14
+        factors = _sector_factors(s, variant, inverse=True)
+        parts = (s.positive_part, s.negative_part)
+        for part, (left, right), want in zip(parts, factors, _kron_a_forms(s, variant)):
+            got = _sector_choi(part, left, right)
+            assert np.abs(got - from_a_form(want).choi).max() <= 1e-14
 
 
 def test_symmetric_gram_minima_match_the_sector_choi_spectra():
@@ -352,3 +354,21 @@ def test_symmetric_gram_minima_match_the_sector_choi_spectra():
                 seen_full_rank = True
                 assert got > 1e-3  # a Gram eigenvalue, not the padded zero
     assert seen_full_rank
+
+
+@pytest.mark.parametrize("variant", ["literal", "symmetric"])
+def test_sector_choi_report_holds_one_sector_at_a_time(variant):
+    unit = 16 ** 4 * 16  # one complex N^2 x N^2 matrix at N=16
+    rng = np.random.default_rng(15)
+    for m in (random_tp_map(16, rng), random_tp_map_with_kernel(16, rng)):
+        s = cp_split(m)
+        assert s.has_negative_part
+        tracemalloc.start()
+        try:
+            sector_choi_report(s, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one sector's Choi matrix and the two temporaries of its Hermiticity
+        # residual; both sectors' matrices at once peaked at 5
+        assert peak < 3.5 * unit

@@ -193,6 +193,37 @@ def test_check_cp():
         check_cp(LinearMap(np.triu(np.ones((4, 4), dtype=complex))))
 
 
+def test_random_tp_map_is_ncp_but_for_some_draws_at_dim_2():
+    for dim in (3, 4):
+        for seed in range(50):
+            assert not check_cp(random_tp_map(dim, np.random.default_rng(seed)))[0]
+    # at dim 2 the perturbation can stay positive on the 2-dimensional kernel
+    ok, min_eig = check_cp(random_tp_map(2, np.random.default_rng(16)))
+    assert ok and min_eig > 0.01
+    assert not check_cp(random_tp_map(2, np.random.default_rng(0)))[0]
+
+
+def test_kraus_to_map_keeps_the_matrix_it_built(monkeypatch):
+    import dynamap.maps
+
+    built = []
+
+    def recording(*args):
+        built.append(weighted_choi(*args))
+        return built[-1]
+
+    monkeypatch.setattr(dynamap.maps, "weighted_choi", recording)
+    m = kraus_to_map(amplitude_damping_kraus(0.3))
+    assert m.choi is built[0] and not m.choi.flags.writeable
+    # a read-only view of a writable array is still copied
+    source = np.eye(4, dtype=complex)
+    view = source[:]
+    view.flags.writeable = False
+    held = LinearMap(view)
+    source[0, 0] = 5.0
+    assert held.choi[0, 0] == 1.0
+
+
 def test_amplitude_damping_choi_eigenvalues_oracle():
     # oracle: build the rank-2 Choi from the explicit Kraus pair and eigensolve
     gamma = 0.3
@@ -326,6 +357,14 @@ def test_sign_split_returns_stacks_whose_signed_sum_is_the_map(m):
     both = np.concatenate([pos.operators, neg.operators])
     signed = np.concatenate([pos.weights, -neg.weights])
     assert np.abs(weighted_choi(both, signed) - m.choi).max() <= 1e-12
+
+
+def test_sign_split_requires_descending_eigenvalues():
+    values, vectors = np.linalg.eigh(transpose_map(2).choi)  # ascending
+    with pytest.raises(ValueError, match="descending"):
+        sign_split(values, vectors, 2)
+    pos, neg = sign_split(values[::-1], vectors[:, ::-1], 2)
+    assert (len(pos), len(neg)) == (3, 1)
 
 
 def test_sign_split_of_cp_map_has_empty_negative_stack():
