@@ -17,15 +17,20 @@ integer ``seed`` and an optional ``tolerances`` object overriding
 ``zero_eig_rel`` and ``residual_abs``.
 
 A compact matrix document (``choi``, ``superop_a``, ``superop_b``) is
-parsed without nested lists.  Its one ``"data":[[[`` span is cut out and
-the rest of the document, ``null`` in its place, is loaded and checked
-as usual.  The span must have the skeleton of a ``(dim^2, dim^2, 2)``
-array once its number characters are deleted, so whitespace, letters
-(``true``, ``null``, ``NaN``) and wrong shapes fail there.  Its numbers,
-inner brackets blanked, are one flat ``json.loads`` list, so each keeps
-the JSON number grammar, and one ``np.array`` call converts them; the
-raw bytes are released once that array is accepted.  Any other document,
-and any span that fails a check, takes the full path below.
+parsed one matrix row at a time, without nested lists.  Its one
+``"data":[[[`` span is cut out and the rest of the document, ``null`` in
+its place, is loaded and checked as usual.  The span must be at least as
+long as the shortest ``(dim^2, dim^2, 2)`` array before anything of that
+size is built.  Each row must have the skeleton of a ``(dim^2, 2)`` array
+once its number characters are deleted, so whitespace, letters
+(``true``, ``null``, ``NaN``) and wrong shapes fail there, and must be
+followed by ``,``, the last row by the span's closing ``]``.  A row's
+numbers, brackets blanked, are one flat ``json.loads`` list, so each
+keeps the JSON number grammar, and one ``np.array`` call converts them
+into a preallocated complex matrix.  The parse thus holds the raw bytes,
+that matrix and one row, and the matrix goes to ``LinearMap`` read-only,
+uncopied.  Any other document, and any span that fails a check, takes
+the full path below.
 
 Each array (map ``data``, the Kraus stack, ``state``, ``unitary``) is
 converted by one ``np.array`` call on the loaded lists.  On both paths
@@ -159,13 +164,7 @@ def _parse_tolerances(node, path):
         raise DocumentError(path, str(exc)) from None
 
 
-_INNER_BRACKETS = bytes.maketrans(b"[]", b"  ")
-
-
-def _skeleton(side: int) -> bytes:
-    """A ``(side, side, 2)`` array in compact JSON with its numbers deleted."""
-    row = b"[" + b",".join([b"[,]"] * side) + b"]"
-    return b"[" + b",".join([row] * side) + b"]"
+_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
 
 def _matrix_document(raw: bytes):
@@ -174,9 +173,12 @@ def _matrix_document(raw: bytes):
 
     The span is the value after the one ``"data"`` of the document: with no
     backslash in the rest, that string is the top-level key the loaded
-    ``doc`` has.  Its numbers are parsed before ``doc`` is returned, so
-    the caller's checks of ``doc`` run only on valid JSON, as on the full
-    path.
+    ``doc`` has.  Each row of the span ends in ``]]``; its numbers are
+    converted and written through the float view of the preallocated
+    matrix, which is returned read-only and owning its data, so
+    ``LinearMap`` keeps it.  Every row is parsed before ``doc`` is
+    returned, so the caller's checks of ``doc`` run only on valid JSON, as
+    on the full path.
     """
     start = raw.find(b'"data":[[[') + 7
     end = raw.find(b"]]]", start) + 3
@@ -195,26 +197,31 @@ def _matrix_document(raw: bytes):
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         return None
     side = dim * dim
-    span = bytearray(memoryview(raw)[start:end])
-    skeleton = span.translate(None, b"0123456789.eE+-")
-    # the length check first bounds the expected skeleton by the input size
-    if len(skeleton) != 4 * side * side + 2 * side + 1 or skeleton != _skeleton(side):
+    # one character per number is the shortest such array: this bounds the
+    # row skeleton and the matrix by the input size before either is built
+    if end - start < 6 * side * side + 2 * side + 1:
         return None
-    # inner brackets become spaces, so the text is one flat list, built in place
-    text = span.translate(_INNER_BRACKETS)
-    del span, skeleton
-    text[0], text[-1] = b"[]"
-    text = text.decode("ascii")
-    try:
-        numbers = json.loads(text)
-        del text
-        pairs = np.array(numbers)
-    except (ValueError, OverflowError):  # JSON number grammar, out-of-range integers
-        return None
-    del numbers
-    if pairs.dtype.kind not in "fi" or pairs.size != 2 * side * side or not np.isfinite(pairs).all():
-        return None
-    return doc, np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(side, side)
+    skeleton = b"[" + b",".join([b"[,]"] * side) + b"]"
+    matrix = np.empty((side, side), dtype=complex)
+    rows = matrix.view(float)
+    pos = start + 1
+    for i in range(side):
+        stop = raw.find(b"]]", pos, end) + 2
+        if stop < 2 or not raw.startswith(b"]" if i == side - 1 else b",", stop):
+            return None
+        row = raw[pos:stop]
+        if row.translate(None, b"0123456789.eE+-") != skeleton:
+            return None
+        try:
+            pairs = np.array(json.loads("[%s]" % row.translate(_BRACKETS).decode()))
+        except (ValueError, OverflowError):  # JSON number grammar, out-of-range integers
+            return None
+        if pairs.dtype.kind not in "fi" or pairs.size != 2 * side or not np.isfinite(pairs).all():
+            return None
+        rows[i] = pairs
+        pos = stop + 1  # a last row followed by "]" ends at the first "]]]", the span's end
+    matrix.flags.writeable = False  # handed over: no one else holds it
+    return doc, matrix
 
 
 def parse_document(raw: bytes) -> ParsedDocument:

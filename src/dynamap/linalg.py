@@ -94,7 +94,9 @@ def max_frob(stack: np.ndarray) -> float:
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
-    return frob(m - m.conj().T)
+    d = np.conjugate(m).T  # always a new array (``m.conj()`` is ``m`` when real)
+    np.subtract(m, d, out=d)
+    return frob(d)
 
 
 def hermiticity_check(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:

@@ -43,7 +43,8 @@ class LinearMap:
     tolerance configuration; the Choi eigensystem is computed once, on first
     use.  ``choi`` is a read-only private copy, so neither cache can go
     stale; an array that owns its data and is read-only already, as
-    :func:`kraus_to_map` hands over the matrix it built, is kept uncopied.
+    :func:`kraus_to_map`, :func:`from_a_form` and the document parser hand
+    over the matrix they built, is kept uncopied.
     """
 
     def __init__(self, choi):
@@ -169,12 +170,15 @@ def apply_map(m: LinearMap, rho) -> np.ndarray:
 
 
 def _reshuffle(m: np.ndarray) -> np.ndarray:
-    """The exact index permutation relating the Choi form and the A form."""
+    """The exact index permutation relating the Choi form and the A form,
+    as a new array that owns its data."""
     side = m.shape[0]
     n = round(side ** 0.5)
     if n * n != side or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix with square side, got {m.shape}")
-    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(side, side)
+    out = np.empty((side, side), dtype=m.dtype)
+    out.reshape(n, n, n, n)[...] = m.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    return out
 
 
 def a_form(m: LinearMap) -> np.ndarray:
@@ -184,7 +188,9 @@ def a_form(m: LinearMap) -> np.ndarray:
 
 def from_a_form(a) -> LinearMap:
     """Build a map from its superoperator (A form) matrix."""
-    return LinearMap(_reshuffle(as_complex_matrix(a)))
+    choi = _reshuffle(as_complex_matrix(a))
+    choi.flags.writeable = False  # handed over: no one else holds it
+    return LinearMap(choi)
 
 
 def weighted_choi(operators: np.ndarray, weights) -> np.ndarray:

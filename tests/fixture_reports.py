@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python tests/fixture_reports.py OUT_DIR
+    PYTHONPATH=src python tests/fixture_reports.py [--compact] OUT_DIR
 
 Each ``tests/fixtures`` document is run in process through ``cli.main``
 under ``decompose``, ``verify --variant literal``, ``verify --variant
@@ -13,11 +13,19 @@ the exit code, stderr and stdout, so two checkouts are compared byte for
 byte with ``diff -r OUT_A OUT_B``.  The
 ``dynamap`` package is imported from ``PYTHONPATH``, so the same script
 reports on any checkout.
+
+The fixtures are indented JSON, so none of them reaches the compact
+matrix parse.  With ``--compact``, each fixture is first re-encoded
+without whitespace (``json.dumps`` with ``separators=(",", ":")``, which
+keeps every number's value) into a temporary directory, and the reports
+of those documents are written instead, under the same file names.
 """
 
 import contextlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 from dynamap import cli
@@ -45,24 +53,33 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def write_reports(out_dir) -> dict:
-    """Write every fixture x command report under ``out_dir``; returns
-    ``{file name: exit code}``."""
+def write_reports(out_dir, compact=False) -> dict:
+    """Write every fixture x command report under ``out_dir``, of the
+    compactly re-encoded fixtures with ``compact``; returns ``{file name:
+    exit code}``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     codes = {}
-    for fixture in sorted(FIXTURES.glob("*.json")):
-        for name, args in COMMANDS.items():
-            code, stdout, stderr = run([args[0], str(fixture), *args[1:]])
-            target = f"{fixture.stem}.{name}.txt"
-            (out_dir / target).write_text(
-                f"exit: {code}\n--- stderr\n{stderr}--- stdout\n{stdout}"
-            )
-            codes[target] = code
+    with tempfile.TemporaryDirectory() as tmp:
+        for fixture in sorted(FIXTURES.glob("*.json")):
+            source = fixture
+            if compact:
+                source = Path(tmp) / fixture.name
+                doc = json.loads(fixture.read_bytes())
+                source.write_text(json.dumps(doc, separators=(",", ":")))
+            for name, args in COMMANDS.items():
+                code, stdout, stderr = run([args[0], str(source), *args[1:]])
+                target = f"{fixture.stem}.{name}.txt"
+                (out_dir / target).write_text(
+                    f"exit: {code}\n--- stderr\n{stderr}--- stdout\n{stdout}"
+                )
+                codes[target] = code
     return codes
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    args = sys.argv[1:]
+    compact = args[:1] == ["--compact"]
+    if len(args) != 1 + compact:
         sys.exit(__doc__)
-    write_reports(sys.argv[1])
+    write_reports(args[-1], compact)

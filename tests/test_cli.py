@@ -539,13 +539,15 @@ def test_fixture_reports_cover_every_fixture_and_command(tmp_path):
 
 
 def test_compact_fixtures_report_as_their_pretty_originals(tmp_path, monkeypatch):
-    # the fixtures are pretty-printed, so only their compact copies take the
-    # list-light parse of matrix documents
+    # the fixtures are pretty-printed, so only their compact copies, as
+    # ``fixture_reports.py --compact`` writes them, take the list-light
+    # parse of matrix documents
     import hashlib
 
     from dynamap import docio
 
     fixture_reports = _fixture_reports()
+    pretty = fixture_reports.write_reports(tmp_path / "pretty")
     list_light = []
     real = docio._matrix_document
 
@@ -555,16 +557,14 @@ def test_compact_fixtures_report_as_their_pretty_originals(tmp_path, monkeypatch
         return parsed
 
     monkeypatch.setattr(docio, "_matrix_document", recording)
+    assert fixture_reports.write_reports(tmp_path / "compact", compact=True) == pretty
     for fixture in sorted(FIXTURES.glob("*.json")):
-        pretty = fixture.read_bytes()
-        compact = json.dumps(json.loads(pretty), separators=(",", ":")).encode()
-        copy = tmp_path / fixture.name
-        copy.write_bytes(compact)
-        digests = [hashlib.sha256(raw).hexdigest() for raw in (pretty, compact)]
-        for args in fixture_reports.COMMANDS.values():
-            want = fixture_reports.run([args[0], str(fixture), *args[1:]])
-            code, out, err = fixture_reports.run([args[0], str(copy), *args[1:]])
-            assert (code, out.replace(*digests[::-1]), err) == want, (fixture.name, args)
+        compact = json.dumps(json.loads(fixture.read_bytes()), separators=(",", ":")).encode()
+        digests = [hashlib.sha256(raw).hexdigest() for raw in (compact, fixture.read_bytes())]
+        for name in fixture_reports.COMMANDS:
+            target = f"{fixture.stem}.{name}.txt"
+            got = (tmp_path / "compact" / target).read_text()
+            assert got.replace(*digests) == (tmp_path / "pretty" / target).read_text(), target
     # the compact copies of the five matrix fixtures take it, under every command
     assert list_light.count(True) == 5 * len(fixture_reports.COMMANDS)
 

@@ -318,6 +318,19 @@ def _duplicate(first, second):
     return b'{"kind":"choi","dim":1,"data":%s,"data":%s}' % (first, second)
 
 
+def _rows(dim, rows, after_rows=b"", rest=b""):
+    """A compact ``choi`` document whose ``data`` rows hold the given pair
+    texts; ``after_rows`` precedes the closing bracket of ``data``."""
+    data = b",".join(b"[%s]" % b",".join(row) for row in rows)
+    return b'{"kind":"choi","dim":%d,"data":[%s%s]%s}' % (dim, data, after_rows, rest)
+
+
+def _counted_rows(*counts):
+    """Rows holding ``counts`` pairs each, the pairs numbered in order."""
+    pairs = [b"[%d,%d]" % (k, -k) for k in range(sum(counts))]
+    return [pairs[sum(counts[:i]):sum(counts[:i + 1])] for i in range(len(counts))]
+
+
 # documents the list-light path hands to the full path: (raw, is it valid)
 _FALLBACKS = {
     "whitespace": (_raw(_matrix_doc()), True),
@@ -351,6 +364,19 @@ _FALLBACKS = {
     "kraus_kind": (b'{"kind":"kraus","dim":1,"data":[[[1,0]]]}', False),
     "kraus_stack": (b'{"kind":"kraus","dim":1,"data":[[[[1,0]]],[[[0,1]]]]}', True),
     "unterminated": (b'{"kind":"choi","dim":1,"data":[[[1,0]]', False),
+    # the right number of pairs, one row a pair short and its neighbour a pair long
+    "row_break_early": (_rows(2, _counted_rows(3, 5, 4, 4)), False),
+    "row_break_late": (_rows(2, _counted_rows(4, 4, 5, 3)), False),
+    # a later "]]]" makes the span run past the trailing comma
+    "last_row_then_comma_dim_1": (_rows(1, _counted_rows(1), b",", b',"x":[[[0]]]'), False),
+    "last_row_then_comma_dim_2": (_rows(2, _counted_rows(4, 4, 4, 4), b",", b',"x":[[[0]]]'),
+                                  False),
+    "bad_row_skeleton_dim_1": (_rows(1, [[b"[1]", b"[0]"]]), False),
+    "bad_row_skeleton_dim_2":
+        (_rows(2, _counted_rows(4, 4) + [[b"[1,0,2]", b"[0]", b"[3,0]", b"[4,0]"]]
+               + _counted_rows(4)), False),
+    "whitespace_in_last_row_dim_2":
+        (_rows(2, _counted_rows(4, 4, 4) + [[b"[1, 0]", b"[2,0]", b"[3,0]", b"[4,0]"]]), True),
 }
 
 
@@ -400,3 +426,41 @@ def test_compact_matrix_parse_peak_stays_below_eight_matrices():
         tracemalloc.stop()
     assert doc.linear_map.choi.view(float).tobytes() == pairs.tobytes()
     assert peak < 8 * unit
+
+
+def test_compact_matrix_parse_holds_one_matrix_and_keeps_it():
+    # one row of numbers at a time: the matrix is the only N^4 array built
+    unit = 256 * 256 * 16
+    pairs = np.random.default_rng(5).standard_normal((256, 256, 2))
+    raw = _compact(_matrix_doc(dim=16, data=pairs.tolist()))
+    matrix_document = docio._matrix_document
+    returned = []
+
+    def recording(raw):
+        returned.append(matrix_document(raw))
+        return returned[-1]
+
+    with mock.patch.object(docio, "_matrix_document", recording):
+        tracemalloc.start()
+        try:
+            doc = parse_document(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    choi = doc.linear_map.choi
+    assert choi is returned[0][1] and choi.flags.owndata and not choi.flags.writeable
+    assert choi.view(float).tobytes() == pairs.tobytes()
+    assert peak < 2 * unit
+
+
+def test_huge_dim_compact_document_is_refused_before_anything_of_its_size():
+    raw = b'{"kind":"choi","dim":100000,"data":[[[1,0]]]}'
+    tracemalloc.start()
+    try:
+        assert docio._matrix_document(raw) is None
+        got = _outcome(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ("error", "$.data", "expected 10000000000 rows, got 1")
+    assert peak < 2 ** 20

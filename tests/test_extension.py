@@ -369,6 +369,6 @@ def test_sector_choi_report_holds_one_sector_at_a_time(variant):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one sector's Choi matrix and the two temporaries of its Hermiticity
+        # one sector's Choi matrix and the one temporary of its Hermiticity
         # residual; both sectors' matrices at once peaked at 5
         assert peak < 3.5 * unit

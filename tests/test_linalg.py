@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from dynamap.generators import random_tp_map, random_tp_map_with_kernel
 from dynamap.linalg import (
     ToleranceConfig,
     frob,
+    hermiticity_residual,
     max_frob,
     partial_trace,
     spectral_power,
@@ -238,3 +241,25 @@ def test_frob_of_finite_entries_too_large_to_square_is_finite():
         assert worst == max(norms)
     assert frob(np.array([[np.inf, 0.0]])) == np.inf
     assert max_frob(np.full((1, 2, 2), 1e308)) == np.inf
+
+
+def test_hermiticity_residual_is_the_plain_difference_with_one_temporary():
+    rng = np.random.default_rng(11)
+    side = 256  # N=16
+    m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    for matrix in (m, m + m.conj().T, np.zeros((side, side), dtype=complex)):
+        before = matrix.copy()
+        assert hermiticity_residual(matrix) == frob(matrix - matrix.conj().T)
+        assert np.array_equal(matrix, before)
+    real = rng.standard_normal((4, 4))  # real.conj() is real itself
+    real.flags.writeable = False
+    assert hermiticity_residual(real) == frob(real - real.T) > 0
+    tracemalloc.start()
+    try:
+        hermiticity_residual(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the conjugate transpose, subtracted into in place; the plain
+    # difference held two such matrices
+    assert peak < 1.5 * side * side * 16

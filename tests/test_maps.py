@@ -224,6 +224,26 @@ def test_kraus_to_map_keeps_the_matrix_it_built(monkeypatch):
     assert held.choi[0, 0] == 1.0
 
 
+def test_from_a_form_keeps_the_matrix_it_built(monkeypatch):
+    import dynamap.maps
+
+    a = a_form(amplitude_damping_map(0.3))
+    reshuffle = dynamap.maps._reshuffle
+    built = []
+
+    def recording(m):
+        built.append(reshuffle(m))
+        return built[-1]
+
+    monkeypatch.setattr(dynamap.maps, "_reshuffle", recording)
+    m = from_a_form(a)
+    assert m.choi is built[0] and not m.choi.flags.writeable
+    assert a.flags.writeable and np.array_equal(a_form(m), a)
+    # at N=1 the index permutation is the identity, and still a new array
+    one = np.array([[2.0 + 1j]])
+    assert not np.shares_memory(from_a_form(one).choi, one)
+
+
 def test_amplitude_damping_choi_eigenvalues_oracle():
     # oracle: build the rank-2 Choi from the explicit Kraus pair and eigensolve
     gamma = 0.3
