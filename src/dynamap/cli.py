@@ -258,6 +258,8 @@ def cmd_dilate(args) -> int:
 
     m = doc.linear_map
     require_tp(m, tol)
+    # the eigensystem first, so check_cp reads its values: one solve, not two
+    positive, _ = map_to_kraus(m, tol)
     cp_ok, min_eig = check_cp(m, tol)
     if not cp_ok:
         raise NotCompleteKraus(
@@ -266,7 +268,6 @@ def cmd_dilate(args) -> int:
         )
     from .dilation import dilation_round_trip, kraus_to_unitary, unitarity_residual
 
-    positive, _ = map_to_kraus(m, tol)
     dil = kraus_to_unitary(positive, tol)
     trip = dilation_round_trip(dil, m, samples=args.samples, seed=seed, tol=tol)
     report = _base_report("dilate", doc, tol, seed, args)

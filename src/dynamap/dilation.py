@@ -36,12 +36,17 @@ class UnitaryDilation:
         ``Tr_anc[U (rho (x) |ref><ref|) U^dag]`` is ``sum_a M_a rho M_a^dag``
         with ``M_a`` the rows of the reference columns of ``U`` that belong
         to ancilla row ``a``, so only those columns are used and no
-        system-plus-ancilla matrix is formed.
+        system-plus-ancilla matrix is formed.  The sum runs one operator at a
+        time over the whole stack, so it holds no array of one term per
+        operator and state, and each state's products are its own.
         """
         n, d = self.system_dim, self.ancilla_dim
         rho = as_states(rho, n)
         ops = self.unitary[:, self.ancilla_ref_index :: d].reshape(n, d, n).transpose(1, 0, 2)
-        return (ops @ rho[..., None, :, :] @ ops.conj().transpose(0, 2, 1)).sum(axis=-3)
+        out = np.zeros(rho.shape, dtype=complex)
+        for op in ops:
+            out += op @ rho @ op.conj().T
+        return out
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,11 @@ def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> Uni
 
 
 def unitarity_residual(dilation: UnitaryDilation) -> float:
+    """``‖U^dag U - 1‖_F``, the identity subtracted in place on the diagonal."""
     u = dilation.unitary
-    return frob(u.conj().T @ u - np.eye(u.shape[0]))
+    gram = u.conj().T @ u
+    gram.reshape(-1)[:: len(gram) + 1] -= 1.0
+    return frob(gram)
 
 
 def dilation_round_trip(

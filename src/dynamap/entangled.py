@@ -168,11 +168,14 @@ def induced_dynamics(
 
     # Choi[(a, r), (b, s)] = Tr_env[u (|r><s| (x) rho_e) u^dag][a, b]
     u4 = u.reshape(ns, ne, ns, ne)
-    choi4 = np.einsum("airj,jk,bisk->arbs", u4, rho_e, u4.conj(), optimize=True)
-    linear_part = LinearMap(choi4.reshape(ns * ns, ns * ns))
-
-    tp_choi = linear_part.choi + np.kron(constant, np.eye(ns))
-    tp_linear_form = LinearMap(tp_choi)
+    choi = np.empty((ns * ns, ns * ns), dtype=complex)
+    np.einsum("airj,jk,bisk->arbs", u4, rho_e, u4.conj(), out=choi.reshape((ns,) * 4),
+              optimize=True)
+    tp_choi = choi.copy()
+    # constant (x) 1: constant[a, b] at each (a, r), (b, r), through a writable view
+    np.einsum("arbr->rab", tp_choi.reshape((ns,) * 4))[...] += constant
+    choi.flags.writeable = tp_choi.flags.writeable = False  # handed over: no one else holds them
+    linear_part, tp_linear_form = LinearMap(choi), LinearMap(tp_choi)
 
     direct = partial_trace(u @ joint @ u.conj().T, (ns, ne), "b")
     consistency = frob(apply_map(tp_linear_form, rho_s) - direct)

@@ -138,6 +138,27 @@ def zero_cut(values, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     return tol.zero_eig_rel * float(np.max(np.abs(values))) if values.size else 0.0
 
 
+def gram_eigensystem(rows: np.ndarray):
+    """Eigensystem of ``C = sum_i v_i v_i^dag`` over the ``k`` rows ``v_i`` of
+    ``rows`` (side ``n``, ``k < n``), solved on the ``k x k`` Gram matrix.
+
+    With ``W = rows.T``, ``C = W W^dag`` and ``G = W^dag W`` has the same
+    nonzero spectrum; an eigenpair ``(mu, u)`` of ``G`` gives the unit
+    eigenvector ``W u / sqrt(mu)`` of ``C``.  A ``mu`` at or below the
+    rounding floor of a dense solve, ``n * eps * max mu``, becomes exactly
+    ``0.0`` with no vector (no division by zero), as do the ``n - k`` values
+    ``G`` lacks.  Returns all ``n`` values, descending, and as columns the
+    vectors of the leading ``rank`` of them, a view of a ``(rank, n)`` array.
+    """
+    n = rows.shape[1]
+    mu, u = np.linalg.eigh(rows.conj() @ rows.T)
+    mu, u = mu[::-1], u[:, ::-1]
+    rank = int(np.count_nonzero(mu > n * np.finfo(float).eps * np.max(mu, initial=0.0)))
+    values = np.zeros(n)
+    values[:rank] = mu[:rank]
+    return values, (u[:, :rank].T @ rows / np.sqrt(values[:rank, None])).T
+
+
 def spectral_power(values, vectors, power: float) -> np.ndarray:
     """``sum_i values[i]**power v_i v_i^dag`` over the given eigenpairs.
 

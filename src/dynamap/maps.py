@@ -29,6 +29,7 @@ from .linalg import (
     as_complex_matrix,
     as_complex_stack,
     frob,
+    gram_eigensystem,
     hermiticity_check,
     zero_cut,
 )
@@ -40,14 +41,17 @@ class LinearMap:
     Physicality verdicts (trace preserving, Hermiticity preserving,
     completely positive) are computed on demand by ``check_tp``,
     ``check_hermiticity_preserving`` and ``check_cp`` and cached per
-    tolerance configuration; the Choi eigensystem is computed once, on first
-    use.  ``choi`` is a read-only private copy, so neither cache can go
-    stale; an array that owns its data and is read-only already, as
-    :func:`kraus_to_map`, :func:`from_a_form` and the document parser hand
-    over the matrix they built, is kept uncopied.
+    tolerance configuration; the Choi spectrum is solved once, on first
+    use, and only as far as it is read (``eigenvalues`` or ``eigensystem``).
+    ``choi`` is a read-only private copy, so no cache can go stale; an array
+    that owns its data and is read-only already, as :func:`kraus_to_map`,
+    :func:`from_a_form` and the document parser hand over the matrix they
+    built, is kept uncopied.  ``kraus``, a :class:`KrausSet` whose
+    ``weighted_choi`` is ``choi``, is kept (by reference) when it has fewer
+    than ``dim**2`` operators, for the Gram route of ``eigensystem``.
     """
 
-    def __init__(self, choi):
+    def __init__(self, choi, kraus=None):
         choi = as_complex_matrix(choi)
         if choi.flags.writeable or not choi.flags.owndata:
             choi = choi.copy()
@@ -61,22 +65,46 @@ class LinearMap:
         self.dim = dim
         self.choi = choi
         self._verdicts = {}
+        self._kraus = kraus if kraus is not None and len(kraus) < side else None
+        self._eigenvalues = None
         self._eigensystem = None
 
     @property
     def eigensystem(self):
-        """``(values, vectors)`` of the Choi matrix, eigenvalues descending
-        and eigenvectors as columns, both read-only.
+        """``(values, vectors)`` of the Choi matrix, both read-only: all
+        ``dim**2`` eigenvalues descending, and as columns the orthonormal
+        eigenvectors of the leading ones.
 
-        Only the lower triangle is read, so callers that need a meaningful
-        spectrum check Hermiticity preservation first.
+        A dense ``eigh`` gives a column for every eigenvalue.  A kept Kraus
+        set is solved on its ``k x k`` Gram matrix
+        (:func:`~dynamap.linalg.gram_eigensystem`), which gives columns for
+        the positive eigenvalues only; every eigenvalue past the last column
+        is exactly ``0.0``.  Only the lower triangle of ``choi`` is read, so
+        callers that need a meaningful spectrum check Hermiticity
+        preservation first.
         """
         if self._eigensystem is None:
-            values, vectors = np.linalg.eigh(self.choi)
-            values, vectors = values[::-1], vectors[:, ::-1]
+            if self._kraus is None:
+                values, vectors = np.linalg.eigh(self.choi)
+                values, vectors = values[::-1], vectors[:, ::-1]
+            else:  # the Choi matrix is sum_i v_i v_i^dag over v_i = sqrt(w_i) vec(M_i)
+                rows = self._kraus.folded_operators().reshape(-1, len(self.choi))
+                values, vectors = gram_eigensystem(rows)
             values.flags.writeable = vectors.flags.writeable = False
             self._eigensystem = (values, vectors)
         return self._eigensystem
+
+    @property
+    def eigenvalues(self):
+        """The eigensystem's values once it is cached (or cheap: the Gram
+        route), else one ``eigvalsh`` without eigenvectors, cached;
+        descending and read-only."""
+        if self._eigensystem is None and self._kraus is None:
+            if self._eigenvalues is None:
+                self._eigenvalues = np.linalg.eigvalsh(self.choi)[::-1]
+                self._eigenvalues.flags.writeable = False
+            return self._eigenvalues
+        return self.eigensystem[0]
 
     @property
     def choi4(self) -> np.ndarray:
@@ -117,7 +145,8 @@ class KrausSet:
 
     ``operators`` is one complex ``(k, N, N)`` stack (``(0, N, N)`` keeps
     ``N`` for an empty set) and ``weights`` are positive reals (default all
-    one); the induced map is ``rho -> sum_i w_i M_i rho M_i^dag``.  Completeness
+    one), both read-only copies; the induced map is
+    ``rho -> sum_i w_i M_i rho M_i^dag``.  Completeness
     ``sum_i w_i M_i^dag M_i = 1`` holds exactly when that map is trace
     preserving; it is checked by consumers, never assumed here.
     """
@@ -130,11 +159,12 @@ class KrausSet:
         ops = as_complex_stack(ops.reshape(0, 0, 0) if ops.shape == (0,) else ops)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimensionMismatch(f"Kraus operators must be a (k, N, N) stack, got {ops.shape}")
-        weights = np.ones(len(ops)) if weights is None else np.asarray(weights, dtype=float)
+        weights = np.ones(len(ops)) if weights is None else np.array(weights, dtype=float)
         if weights.shape != (len(ops),):
             raise DimensionMismatch("weights must match the number of operators")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
+        ops.flags.writeable = weights.flags.writeable = False  # a map may hold this set
         self.operators = ops
         self.weights = weights
         self.dim = ops.shape[1]
@@ -206,6 +236,8 @@ def kraus_to_map(kraus: KrausSet, signs=None) -> LinearMap:
 
     ``signs`` (optional, one per operator, each +-1) admit the signed sums
     that arise when reassembling a map from its canonical decomposition.
+    Without a negative sign the map keeps a reference to ``kraus`` (no
+    copy), which its eigensystem may be solved from.
     """
     if signs is None:
         signs = np.ones(len(kraus))
@@ -214,17 +246,22 @@ def kraus_to_map(kraus: KrausSet, signs=None) -> LinearMap:
         raise DimensionMismatch("signs must match the number of operators")
     choi = weighted_choi(kraus.operators, signs * kraus.weights)
     choi.flags.writeable = False  # handed over: no one else holds it
-    return LinearMap(choi)
+    return LinearMap(choi, kraus if np.all(signs == 1.0) else None)
 
 
 def sign_split(values, vectors, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
     """Group a Choi eigensystem by sign into ``(positive, negative)`` Kraus sets.
 
     ``values`` must be sorted descending, as :attr:`LinearMap.eigensystem`
-    gives them, so each group is a slice.  Eigenvectors with eigenvalue
-    above the zero cut become Hilbert-Schmidt-orthonormal operators weighted
-    by the eigenvalue, those below minus the cut are weighted by its
-    absolute value, and eigenvalues within the cut are discarded from both.
+    gives them, so each group is a slice.  ``vectors`` holds the
+    eigenvectors of the leading values as columns; it may lack the columns
+    of trailing values that are exactly zero, as the Gram route of
+    :attr:`LinearMap.eigensystem` does (any other shortfall leaves a group
+    with fewer operators than weights, which :class:`KrausSet` refuses).
+    Eigenvectors with eigenvalue above the zero cut become
+    Hilbert-Schmidt-orthonormal operators weighted by the eigenvalue, those
+    below minus the cut are weighted by its absolute value, and eigenvalues
+    within the cut are discarded from both.
     """
     values = np.asarray(values, dtype=float)
     if np.any(values[1:] > values[:-1]):
@@ -260,9 +297,11 @@ def map_to_kraus(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
 
 
 def choi_eigenvalues(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of the Choi matrix of a Hermiticity-preserving map, descending."""
+    """Eigenvalues of the Choi matrix of a Hermiticity-preserving map,
+    descending: :attr:`LinearMap.eigenvalues`, so no eigenvector is solved
+    for them unless the eigensystem is cached already."""
     require_hermiticity_preserving(m, tol)
-    return m.eigensystem[0]
+    return m.eigenvalues
 
 
 def check_tp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):

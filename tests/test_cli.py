@@ -302,26 +302,82 @@ def test_samples_below_one_rejected(capsys):
         assert out == ""
 
 
-def test_decompose_eigendecomposes_source_choi_once(capsys, monkeypatch, tmp_path):
-    from dynamap.docio import canonical_json
-    from dynamap.generators import random_tp_map
-
-    m = random_tp_map(3, np.random.default_rng(2))
-    path = tmp_path / "n3.json"
-    path.write_text(canonical_json({"kind": "choi", "dim": 3, "data": m.choi}))
+def _record_solves(monkeypatch):
+    """``(name, copy of the matrix)`` of every ``eigh`` / ``eigvalsh`` call
+    from here on, in call order."""
     seen = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
-        def recording(a, *args, _solver=solver, **kwargs):
-            seen.append(np.array(a))
+        def recording(a, *args, _solver=solver, _name=name, **kwargs):
+            seen.append((_name, np.array(a)))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
-    code, _, _ = run_cli(capsys, "decompose", str(path))
+    return seen
+
+
+def _write_doc(tmp_path, doc):
+    from dynamap.docio import canonical_json
+
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json(doc))
+    return str(path)
+
+
+def test_decompose_eigendecomposes_source_choi_once(capsys, monkeypatch, tmp_path):
+    from dynamap.generators import random_tp_map
+
+    m = random_tp_map(3, np.random.default_rng(2))
+    path = _write_doc(tmp_path, {"kind": "choi", "dim": 3, "data": m.choi})
+    seen = _record_solves(monkeypatch)
+    code, _, _ = run_cli(capsys, "decompose", path)
     assert code == 0
-    assert sum(a.shape == m.choi.shape and np.array_equal(a, m.choi) for a in seen) == 1
-    assert all(a.shape[-1] != 36 for a in seen)
+    assert sum(a.shape == m.choi.shape and np.array_equal(a, m.choi) for _, a in seen) == 1
+    assert all(a.shape[-1] != 36 for _, a in seen)
+
+
+def test_extract_solves_only_the_extracted_choi_eigenvalues(capsys, monkeypatch, tmp_path):
+    from dynamap.generators import haar_unitary, random_joint_pure_state
+
+    rng = np.random.default_rng(21)
+    state = random_joint_pure_state((3, 2), rng)
+    path = _write_doc(tmp_path, {
+        "kind": "joint_dynamics", "dims": [3, 2],
+        "data": {"state": state.amplitudes, "unitary": haar_unitary(6, rng)},
+    })
+    seen = _record_solves(monkeypatch)
+    code, rep, _ = run_json(capsys, "extract", path)
+    assert code == 0
+    pairs = np.asarray(rep["extraction"]["extracted_map"]["data"])
+    choi = pairs[..., 0] + 1j * pairs[..., 1]
+    at_side = [(name, a) for name, a in seen if a.shape[-1] == 9]
+    assert [name for name, _ in at_side] == ["eigvalsh"]
+    assert np.array_equal(at_side[0][1], choi)
+
+
+def test_dilate_kraus_document_solves_nothing_at_choi_side(capsys, monkeypatch, tmp_path):
+    from dynamap.generators import random_cptp_kraus
+
+    ops = random_cptp_kraus(3, 4, np.random.default_rng(22)).operators
+    path = _write_doc(tmp_path, {"kind": "kraus", "dim": 3, "data": ops})
+    seen = _record_solves(monkeypatch)
+    code, rep, _ = run_json(capsys, "dilate", path)
+    assert code == 0 and rep["dilation"]["ancilla_dim"] == 4
+    assert [(name, a.shape) for name, a in seen] == [("eigh", (4, 4))]  # the Gram matrix
+    assert rep["map"]["choi_eigenvalues"][4:] == [0.0] * 5
+
+
+def test_dilate_choi_document_solves_one_eigh(capsys, monkeypatch, tmp_path):
+    from dynamap.generators import random_cptp_kraus
+    from dynamap.maps import kraus_to_map
+
+    choi = kraus_to_map(random_cptp_kraus(3, 4, np.random.default_rng(23))).choi
+    path = _write_doc(tmp_path, {"kind": "choi", "dim": 3, "data": choi})
+    seen = _record_solves(monkeypatch)
+    code, rep, _ = run_json(capsys, "dilate", path)
+    assert code == 0 and rep["dilation"]["ancilla_dim"] == 4
+    assert [name for name, a in seen if a.shape[-1] == 9] == ["eigh"]
 
 
 def test_tolerance_flag_validation(capsys):

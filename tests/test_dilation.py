@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from dynamap.generators import (
     random_tp_map,
     random_tp_map_with_kernel,
 )
-from dynamap.linalg import partial_trace
-from dynamap.maps import KrausSet, apply_map, kraus_to_map, map_to_kraus
+from dynamap.linalg import frob, partial_trace
+from dynamap.maps import KrausSet, apply_map, check_cp, kraus_to_map, map_to_kraus, require_tp
 from oracles import apply_kraus
 
 
@@ -150,3 +152,40 @@ def test_round_trip_matches_per_sample_loop():
             worst = max(worst, np.linalg.norm(evolved - apply_map(m, rho)))
         assert abs(dilation_round_trip(dil, m, samples=10, seed=9).max_residual - worst) <= 1e-15
     assert dilation_round_trip(dil, m, samples=0).max_residual == 0.0
+
+
+def test_evolve_per_state_results_do_not_depend_on_the_stack():
+    rng = np.random.default_rng(82)
+    dil = kraus_to_unitary(random_cptp_kraus(4, 5, rng))
+    states = np.array([random_density_matrix(4, rng) for _ in range(6)])
+    stacked = dil.evolve(states)
+    assert np.array_equal(stacked, [dil.evolve(rho) for rho in states])
+    assert np.array_equal(dil.evolve(states.reshape(2, 3, 4, 4)).reshape(6, 4, 4), stacked)
+    assert dil.evolve(states[:0]).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("n_ops", [1, 3, 9])
+def test_unitarity_residual_equals_the_difference_norm(n_ops):
+    dil = kraus_to_unitary(random_cptp_kraus(3, n_ops, np.random.default_rng(83 + n_ops)))
+    u = dil.unitary
+    assert unitarity_residual(dil) == frob(u.conj().T @ u - np.eye(len(u)))
+
+
+def test_dilate_stages_peak_below_five_choi_matrices():
+    # N=16, 16 operators: the Choi matrix and the 256 x 256 unitary stay; the
+    # dense Choi eigensystem and the evolve stack of the old path peaked at 5.7
+    unit = 16 ** 4 * 16  # one complex N^2 x N^2 matrix
+    kraus = random_cptp_kraus(16, 16, np.random.default_rng(84))
+    tracemalloc.start()
+    try:
+        m = kraus_to_map(kraus)
+        require_tp(m)
+        positive, _ = map_to_kraus(m)
+        assert check_cp(m)[0]
+        dil = kraus_to_unitary(positive)
+        assert dilation_round_trip(dil, m).passed
+        assert unitarity_residual(dil) <= 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * unit

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,13 @@ from dynamap.generators import (
     random_joint_pure_state,
     random_product_joint_state,
 )
-from dynamap.maps import apply_map, check_cp, check_tp
+from dynamap.maps import (
+    apply_map,
+    check_cp,
+    check_hermiticity_preserving,
+    check_tp,
+    choi_eigenvalues,
+)
 
 
 def test_joint_pure_state_validation():
@@ -221,3 +229,37 @@ def test_induced_dynamics_matches_unit_by_unit_loop(dims):
     u = haar_unitary(dims[0] * dims[1], rng)
     dyn = induced_dynamics(phi, u)
     assert np.max(np.abs(dyn.linear_part.choi - _induced_linear_choi_loop(phi, u))) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 3)])
+def test_induced_tp_form_is_linear_part_plus_constant_kron_identity(dims):
+    rng = np.random.default_rng(90 + dims[0])
+    phi = random_joint_pure_state(dims, rng)
+    dyn = induced_dynamics(phi, haar_unitary(dims[0] * dims[1], rng))
+    ns = dims[0]
+    expected = dyn.linear_part.choi + np.kron(dyn.constant_part, np.eye(ns))
+    assert dyn.tp_linear_form.choi.tobytes() == expected.tobytes()
+    for m in (dyn.linear_part, dyn.tp_linear_form):
+        assert not m.choi.flags.writeable and m.choi.flags.owndata
+
+
+def test_extract_stages_peak_below_four_choi_matrices():
+    # N=16 with an 8-dimensional environment: the linear and the TP Choi
+    # matrix stay; the copies and the Kronecker temporary of the old path and
+    # its dense eigensystem peaked at 5.5
+    unit = 16 ** 4 * 16  # one complex N^2 x N^2 matrix
+    rng = np.random.default_rng(91)
+    phi = random_joint_pure_state((16, 8), rng)
+    u = haar_unitary(128, rng)
+    tracemalloc.start()
+    try:
+        dyn = induced_dynamics(phi, u)
+        extension_witness(phi)
+        m = dyn.tp_linear_form
+        assert check_hermiticity_preserving(m)[0] and check_tp(m)[0]
+        check_cp(m)
+        choi_eigenvalues(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * unit

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynamap.channels import (
     SIGMA_X,
@@ -431,25 +433,109 @@ def test_linear_map_choi_is_read_only():
     assert check_cp(m) == (ok, min_eig)
 
 
-def test_choi_eigensystem_solved_once(monkeypatch):
-    m = random_tp_map(3, np.random.default_rng(8))
+def _record_solves(monkeypatch, side):
+    """The names of the ``eigh`` / ``eigvalsh`` calls on ``side x side``
+    matrices from here on, in call order."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
         def recording(a, *args, _solver=solver, _name=name, **kwargs):
-            if np.shape(a) == m.choi.shape:
+            if np.shape(a)[-1] == side:
                 calls.append(_name)
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+def test_choi_eigensystem_solved_once(monkeypatch):
+    calls = _record_solves(monkeypatch, 9)
+    # eigenvalues first: one eigvalsh serves them, the eigensystem is one eigh
+    m = random_tp_map(3, np.random.default_rng(8))
     values = choi_eigenvalues(m)
     check_cp(m)
     positive, negative = map_to_kraus(m)
     cp_split(m)
-    assert calls == ["eigh"]
-    assert values is m.eigensystem[0]
+    assert calls == ["eigvalsh", "eigh"]
     assert len(positive) + len(negative) == 9
+    assert np.max(np.abs(values - m.eigensystem[0])) <= 1e-12
+    assert choi_eigenvalues(m) is m.eigensystem[0]
+    # eigensystem first: every later reader gets its values
+    calls.clear()
+    m = random_tp_map(3, np.random.default_rng(8))
+    map_to_kraus(m)
+    check_cp(m)
+    cp_split(m)
+    assert calls == ["eigh"]
+    assert choi_eigenvalues(m) is m.eigensystem[0]
+
+
+def _cptp_kraus(dim, n_ops, seed, weighted):
+    kraus = random_cptp_kraus(dim, n_ops, np.random.default_rng(seed))
+    if not weighted:
+        return kraus
+    weights = np.random.default_rng(seed + 1).uniform(0.01, 100.0, n_ops)
+    return KrausSet(kraus.operators, weights)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(lambda dim: st.builds(
+    _cptp_kraus, st.just(dim), st.integers(1, dim * dim - 1),
+    st.integers(0, 2**32 - 2), st.booleans())))
+def test_gram_route_eigensystem_matches_dense_eigh(kraus):
+    m = kraus_to_map(kraus)
+    values, vectors = m.eigensystem
+    dense_values, dense_vectors = np.linalg.eigh(m.choi)
+    dense_values, dense_vectors = dense_values[::-1], dense_vectors[:, ::-1]
+    scale = dense_values[0]
+    assert np.max(np.abs(values - dense_values)) <= 1e-12 * scale
+    assert np.all(values[vectors.shape[1]:] == 0.0)  # exact zeros, no vectors
+    keep = values > zero_cut(values)
+    assert np.array_equal(keep, dense_values > zero_cut(dense_values))
+    kept, dense_kept = vectors[:, keep[: vectors.shape[1]]], dense_vectors[:, keep]
+    assert np.linalg.norm(kept @ kept.conj().T - dense_kept @ dense_kept.conj().T) <= 1e-9
+    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(vectors.shape[1])) <= 1e-10
+    positive, negative = sign_split(values, vectors, m.dim)
+    assert len(negative) == 0
+    rebuilt = weighted_choi(positive.operators, positive.weights)
+    assert np.linalg.norm(rebuilt - m.choi) <= 1e-12 * np.linalg.norm(m.choi)
+
+
+@pytest.mark.parametrize("second", ["repeated", "zero"])
+def test_gram_route_rank_deficient_set_has_no_nan(second):
+    op = random_cptp_kraus(3, 1, np.random.default_rng(4)).operators[0]
+    kraus = KrausSet([op, op if second == "repeated" else np.zeros((3, 3))])
+    m = kraus_to_map(kraus)
+    values, vectors = m.eigensystem
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))
+    assert np.count_nonzero(values) == 1 and vectors.shape == (9, 1)
+    positive, negative = map_to_kraus(m)
+    assert (len(positive), len(negative)) == (1, 0)
+    assert check_cp(m) == (True, 0.0)
+    empty = kraus_to_map(KrausSet(np.zeros((0, 3, 3)))).eigensystem
+    assert not empty[0].any() and empty[1].shape == (9, 0)
+
+
+@pytest.mark.parametrize("case", ["complete_set", "signed"])
+def test_dense_route_for_full_or_signed_kraus_sets(monkeypatch, case):
+    calls = _record_solves(monkeypatch, 4)
+    rng = np.random.default_rng(12)
+    if case == "complete_set":  # k = N^2: the Gram matrix would be no smaller
+        m = kraus_to_map(random_cptp_kraus(2, 4, rng))
+    else:
+        m = kraus_to_map(random_cptp_kraus(2, 2, rng), signs=[1.0, -1.0])
+    values, vectors = m.eigensystem
+    assert calls == ["eigh"] and vectors.shape == (4, 4)
+    assert np.linalg.norm((vectors * values) @ vectors.conj().T - m.choi) <= 1e-12
+
+
+def test_sign_split_rejects_nonzero_eigenvalue_without_vector():
+    values, vectors = kraus_to_map(amplitude_damping_kraus(0.3)).eigensystem
+    assert vectors.shape == (4, 2)
+    for bad in ([2.0, 1.0, 0.0, -1.0], [2.0, 1.0, 1.0, 0.0], [2.0, -1.0, -1.0, -1.0]):
+        with pytest.raises(DimensionMismatch, match="weights must match"):
+            sign_split(np.array(bad), vectors, 2)
 
 
 def test_linear_map_rejects_bad_shapes():
