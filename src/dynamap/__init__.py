@@ -18,13 +18,13 @@ _EXPORTS = {
     ),
     "linalg": ("ToleranceConfig", "DEFAULT_TOL", "partial_trace"),
     "maps": (
-        "LinearMap", "DensityMatrix", "KrausSet", "apply_map", "a_form", "from_a_form",
+        "LinearMap", "KrausSet", "apply_map", "a_form", "from_a_form",
         "kraus_to_map", "map_to_kraus", "choi_eigenvalues", "check_tp",
         "check_hermiticity_preserving", "check_cp",
     ),
     "channels": (
         "identity_map", "unitary_map", "transpose_map", "depolarizing_map",
-        "amplitude_damping_kraus", "amplitude_damping_map",
+        "amplitude_damping_kraus", "amplitude_damping_map", "ncp_family",
     ),
     "cpsplit": (
         "CPSplit", "AnnihilationReport", "TraceFunctionalReport", "cp_split",
@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
     "entangled": (
         "JointPureState", "WitnessCertificate", "AffineDynamics", "ExtensionVerdict",
-        "bell_state", "extension_witness", "induced_dynamics", "ncp_family",
+        "bell_state", "extension_witness", "induced_dynamics",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

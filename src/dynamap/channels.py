@@ -36,6 +36,19 @@ def depolarizing_map(p: float, dim: int = 2) -> LinearMap:
     return LinearMap((1.0 - p) * identity_map(dim).choi + p * full)
 
 
+def ncp_family(p: float) -> LinearMap:
+    """Qubit family ``rho -> (1 - p) Tr(rho) 1/2 + p rho^T``.
+
+    Trace preserving and Hermiticity preserving for every ``p`` in [0, 1];
+    completely positive exactly when the smallest Choi eigenvalue
+    ``(1 - p)/2 - p`` is nonnegative, i.e. up to ``p = 1/3``.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    choi = (1.0 - p) * depolarizing_map(1.0, 2).choi + p * transpose_map(2).choi
+    return LinearMap(choi)
+
+
 def amplitude_damping_kraus(gamma: float) -> KrausSet:
     """The two-operator qubit amplitude damping set with decay ``gamma``."""
     if not 0.0 <= gamma <= 1.0:

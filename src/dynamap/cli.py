@@ -309,7 +309,7 @@ def cmd_witness(args) -> int:
     report["witness"] = {
         **_witness_section(doc.state, cert),
         "schmidt_weights": cert.schmidt_weights,
-        "reduced_state": cert.reduced_state.matrix,
+        "reduced_state": cert.reduced_state,
         "explanation": cert.explanation,
     }
     _emit(report, args.format)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotCompleteKraus
 from .generators import random_density_matrix, seeded_stack
-from .linalg import DEFAULT_TOL, ToleranceConfig, frob, max_frob
+from .linalg import DEFAULT_TOL, ToleranceConfig, isometry_residual, max_frob
 from .maps import KrausSet, LinearMap, apply_map, as_states
 
 
@@ -69,7 +69,7 @@ def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> Uni
     total = n * d
     # joint index (system row r, ancilla row i) -> r * d + i; ref ancilla 0
     isometry = kraus.folded_operators().transpose(1, 0, 2).reshape(total, n)
-    res = frob(isometry.conj().T @ isometry - np.eye(n))
+    res = isometry_residual(isometry)
     if res > tol.residual_abs:
         raise NotCompleteKraus(f"completeness residual {res:.3e} exceeds tolerance")
 
@@ -80,11 +80,8 @@ def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> Uni
 
 
 def unitarity_residual(dilation: UnitaryDilation) -> float:
-    """``‖U^dag U - 1‖_F``, the identity subtracted in place on the diagonal."""
-    u = dilation.unitary
-    gram = u.conj().T @ u
-    gram.reshape(-1)[:: len(gram) + 1] -= 1.0
-    return frob(gram)
+    """``‖U^dag U - 1‖_F`` (:func:`~dynamap.linalg.isometry_residual`)."""
+    return isometry_residual(dilation.unitary)
 
 
 def dilation_round_trip(

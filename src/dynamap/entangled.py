@@ -6,7 +6,9 @@ entangled pure state is mixed, so a linear extension would have to write a
 convexly non-decomposable pure projector as a convex combination of images
 of the reduced state's eigenprojectors, and every such image would itself
 have to be the pure projector, whose ancilla trace is the mixed reduced
-state rather than the eigenprojector.
+state rather than the eigenprojector.  The reduced state of a unit vector
+is a density matrix by construction, so it is used as a plain matrix and
+its spectrum read with one ``eigvalsh``, under any tolerance.
 
 The dynamics side fixes the simplest convention that turns one unitarily
 evolved joint trajectory into a linear map on the whole system space: the
@@ -19,7 +21,8 @@ the environment block and correlation frozen gives an affine evolution
 whose constant term is traceless (the correlation operator is traceless on
 both factors), so folding it onto the trace-one hyperplane yields a
 trace-preserving, Hermiticity-preserving linear map.  For entangled inputs
-that map is in general not completely positive.
+that map is in general not completely positive.  The joint unitary must pass
+:func:`~dynamap.linalg.isometry_residual` within ``residual_abs``.
 """
 
 from dataclasses import dataclass
@@ -27,10 +30,9 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import depolarizing_map, transpose_map
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOL, ToleranceConfig, frob, partial_trace, zero_cut
-from .maps import DensityMatrix, LinearMap, apply_map
+from .linalg import DEFAULT_TOL, ToleranceConfig, frob, isometry_residual, partial_trace, zero_cut
+from .maps import LinearMap, apply_map
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +82,7 @@ class ExtensionVerdict(Enum):
 
 @dataclass(frozen=True, eq=False)
 class WitnessCertificate:
-    reduced_state: DensityMatrix
+    reduced_state: np.ndarray
     purity: float
     schmidt_rank: int
     verdict: ExtensionVerdict
@@ -98,8 +100,7 @@ def extension_witness(
     can send the reduced state to the joint projector.
     """
     rho = phi.reduced_system()
-    reduced = DensityMatrix(rho, tol)
-    weights = np.clip(reduced.eigenvalues[::-1], 0.0, None)
+    weights = np.clip(np.linalg.eigvalsh(rho)[::-1], 0.0, None)
     purity = float(np.real(np.trace(rho @ rho)))
     rank = int(np.sum(weights > zero_cut(weights, tol)))
     if rank >= 2:
@@ -121,7 +122,7 @@ def extension_witness(
             "the standard product extension is positive on all states"
         )
     return WitnessCertificate(
-        reduced_state=reduced,
+        reduced_state=rho,
         purity=purity,
         schmidt_rank=rank,
         verdict=verdict,
@@ -155,7 +156,7 @@ def induced_dynamics(
     u = np.asarray(u, dtype=complex)
     if u.shape != (ns * ne, ns * ne):
         raise DimensionMismatch(f"unitary shape {u.shape} does not match dims {phi.dims}")
-    res = frob(u.conj().T @ u - np.eye(ns * ne))
+    res = isometry_residual(u)
     if res > tol.residual_abs:
         raise NotUnitary(f"unitarity residual {res:.3e} exceeds tolerance")
 
@@ -186,16 +187,3 @@ def induced_dynamics(
         tp_linear_form=tp_linear_form,
         consistency_residual=consistency,
     )
-
-
-def ncp_family(p: float) -> LinearMap:
-    """Qubit family ``rho -> (1 - p) Tr(rho) 1/2 + p rho^T``.
-
-    Trace preserving and Hermiticity preserving for every ``p`` in [0, 1];
-    completely positive exactly when the smallest Choi eigenvalue
-    ``(1 - p)/2 - p`` is nonnegative, i.e. up to ``p = 1/3``.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    choi = (1.0 - p) * depolarizing_map(1.0, 2).choi + p * transpose_map(2).choi
-    return LinearMap(choi)

@@ -25,8 +25,8 @@ class ToleranceConfig:
     ``max(1, ‖m‖)``, because its target is ``m`` itself.  Residuals against
     targets of fixed scale stay absolute, because rescaling the input
     cannot rescale the target: the identity in ``check_tp``, the unit norm
-    of a joint state, Kraus completeness, unitarity, unit trace, and the
-    sampled identities of normalized maps.
+    of a joint state, Kraus completeness and unitarity
+    (:func:`isometry_residual`), and the sampled identities of normalized maps.
     """
 
     zero_eig_rel: float = 1e-10
@@ -97,6 +97,14 @@ def hermiticity_residual(m: np.ndarray) -> float:
     d = np.conjugate(m).T  # always a new array (``m.conj()`` is ``m`` when real)
     np.subtract(m, d, out=d)
     return frob(d)
+
+
+def isometry_residual(a: np.ndarray) -> float:
+    """``‖a^dag a - 1‖_F``, the identity subtracted in place on the diagonal:
+    Kraus completeness of a stacked isometry, or unitarity of a square ``a``."""
+    gram = a.conj().T @ a
+    gram.reshape(-1)[:: len(gram) + 1] -= 1.0
+    return frob(gram)
 
 
 def hermiticity_check(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:

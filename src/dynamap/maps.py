@@ -31,6 +31,7 @@ from .linalg import (
     frob,
     gram_eigensystem,
     hermiticity_check,
+    partial_trace,
     zero_cut,
 )
 
@@ -114,30 +115,6 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap(dim={self.dim})"
-
-
-class DensityMatrix:
-    """A Hermitian, positive semidefinite, unit-trace matrix; ``eigenvalues``
-    holds its spectrum, ascending."""
-
-    def __init__(self, matrix, tol: ToleranceConfig = DEFAULT_TOL):
-        matrix = as_complex_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise DimensionMismatch(f"density matrix must be square, got {matrix.shape}")
-        if not hermiticity_check(matrix, tol)[0]:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        eigs = np.linalg.eigvalsh(matrix)
-        if eigs[0] < -zero_cut(eigs, tol):
-            raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
-        tr = complex(np.trace(matrix))
-        if abs(tr - 1.0) > tol.residual_abs:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        self.matrix = matrix
-        self.eigenvalues = eigs
-        self.dim = matrix.shape[0]
-
-    def __repr__(self):
-        return f"DensityMatrix(dim={self.dim})"
 
 
 class KrausSet:
@@ -231,22 +208,16 @@ def weighted_choi(operators: np.ndarray, weights) -> np.ndarray:
     return (v.T * np.asarray(weights, dtype=float)) @ v.conj()
 
 
-def kraus_to_map(kraus: KrausSet, signs=None) -> LinearMap:
-    """Choi matrix of ``rho -> sum_i s_i w_i M_i rho M_i^dag``.
+def kraus_to_map(kraus: KrausSet) -> LinearMap:
+    """Choi matrix of ``rho -> sum_i w_i M_i rho M_i^dag``.
 
-    ``signs`` (optional, one per operator, each +-1) admit the signed sums
-    that arise when reassembling a map from its canonical decomposition.
-    Without a negative sign the map keeps a reference to ``kraus`` (no
-    copy), which its eigensystem may be solved from.
+    ``kraus`` is handed to the map by reference (no copy), for the Gram
+    route of its eigensystem.  A signed sum of CP maps is
+    :func:`weighted_choi` with signed weights.
     """
-    if signs is None:
-        signs = np.ones(len(kraus))
-    signs = np.asarray(signs, dtype=float)
-    if signs.shape != (len(kraus),):
-        raise DimensionMismatch("signs must match the number of operators")
-    choi = weighted_choi(kraus.operators, signs * kraus.weights)
+    choi = weighted_choi(kraus.operators, kraus.weights)
     choi.flags.writeable = False  # handed over: no one else holds it
-    return LinearMap(choi, kraus if np.all(signs == 1.0) else None)
+    return LinearMap(choi, kraus)
 
 
 def sign_split(values, vectors, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
@@ -309,7 +280,7 @@ def check_tp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     index must equal the identity.  Returns ``(verdict, residual)``."""
     key = ("tp", tol)
     if key not in m._verdicts:
-        traced = np.einsum("aras->rs", m.choi4)
+        traced = partial_trace(m.choi, (m.dim, m.dim), "a")
         residual = frob(traced - np.eye(m.dim))
         m._verdicts[key] = (residual <= tol.residual_abs, residual)
     return m._verdicts[key]

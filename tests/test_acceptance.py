@@ -32,6 +32,7 @@ from dynamap.channels import (
     depolarizing_map,
     identity_map,
     matrix_unit,
+    ncp_family,
     rotation_unitary,
     swap_gate,
     transpose_map,
@@ -45,7 +46,6 @@ from dynamap.entangled import (
     bell_state,
     extension_witness,
     induced_dynamics,
-    ncp_family,
 )
 from dynamap.extension import build_extension, dimension_report, reconstruct
 from dynamap.generators import (

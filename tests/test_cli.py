@@ -447,7 +447,7 @@ def test_cli_runs_blas_on_one_thread_unless_environment_sets_it():
 
 
 _JOINT_IDLE = ("numpy.random", "dynamap.cpsplit", "dynamap.extension", "dynamap.dilation",
-               "dynamap.generators")
+               "dynamap.generators", "dynamap.channels")
 
 
 @pytest.mark.parametrize("command,name,idle", [
@@ -623,6 +623,40 @@ def test_compact_fixtures_report_as_their_pretty_originals(tmp_path, monkeypatch
             assert got.replace(*digests) == (tmp_path / "pretty" / target).read_text(), target
     # the compact copies of the five matrix fixtures take it, under every command
     assert list_light.count(True) == 5 * len(fixture_reports.COMMANDS)
+
+
+_EXTREME_FLAGS = {
+    "residual_1e-300": ["--tol-residual", "1e-300"],
+    "eig_1e-300": ["--tol-eig", "1e-300"],
+    "eig_0.9999999": ["--tol-eig", "0.9999999"],
+}
+
+
+@pytest.mark.parametrize("fixture,tolerance", [
+    *((path.name, flags) for path in sorted(FIXTURES.glob("*.json")) for flags in _EXTREME_FLAGS),
+    ("bell_cnot_joint.json", "document_residual_1e-300"),
+])
+def test_extreme_tolerances_end_in_an_exit_code(tmp_path, fixture, tolerance):
+    # every command on every fixture, at tolerances no input meets or every input meets
+    fixture_reports = _fixture_reports()
+    path, flags = FIXTURES / fixture, _EXTREME_FLAGS.get(tolerance)
+    if flags is None:  # the same bound, set by the document's tolerances object
+        doc = json.loads(path.read_bytes())
+        doc["tolerances"] = {"residual_abs": 1e-300}
+        path, flags = tmp_path / fixture, []
+        path.write_text(json.dumps(doc))
+    codes = {name: fixture_reports.run([args[0], str(path), *args[1:], *flags])[0]
+             for name, args in fixture_reports.COMMANDS.items()}
+    assert set(codes.values()) <= {0, 1, 2, 3}, codes
+
+
+@pytest.mark.parametrize("command", ["witness", "extract"])
+def test_joint_commands_report_at_a_residual_tolerance_of_1e_300(capsys, command):
+    code, rep, err = run_json(capsys, command, fix("bell_cnot_joint.json"),
+                              "--tol-residual", "1e-300")
+    assert code == 0 and err == ""
+    assert rep["tolerances"]["residual_abs"] == 1e-300
+    assert rep["witness"]["schmidt_rank"] == 2
 
 
 def test_child_process_stdout_matches_in_process_main():

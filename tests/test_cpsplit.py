@@ -3,9 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dynamap.channels import amplitude_damping_map, depolarizing_map, identity_map, transpose_map
+from dynamap.channels import (
+    amplitude_damping_map,
+    depolarizing_map,
+    identity_map,
+    ncp_family,
+    transpose_map,
+)
 from dynamap.cpsplit import cp_split, split_from_eigensystem, trace_functionals, verify_annihilation
-from dynamap.entangled import ncp_family
 from dynamap.errors import NonHermitianChoi, NotTracePreserving, SingularJ
 from dynamap.generators import (
     haar_unitary,

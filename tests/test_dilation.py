@@ -15,12 +15,13 @@ from dynamap.channels import (
 from dynamap.dilation import dilation_round_trip, kraus_to_unitary, unitarity_residual
 from dynamap.errors import DimensionMismatch, NotCompleteKraus
 from dynamap.generators import (
+    haar_unitary,
     random_cptp_kraus,
     random_density_matrix,
     random_tp_map,
     random_tp_map_with_kernel,
 )
-from dynamap.linalg import frob, partial_trace
+from dynamap.linalg import frob, isometry_residual, partial_trace
 from dynamap.maps import KrausSet, apply_map, check_cp, kraus_to_map, map_to_kraus, require_tp
 from oracles import apply_kraus
 
@@ -166,9 +167,14 @@ def test_evolve_per_state_results_do_not_depend_on_the_stack():
 
 @pytest.mark.parametrize("n_ops", [1, 3, 9])
 def test_unitarity_residual_equals_the_difference_norm(n_ops):
-    dil = kraus_to_unitary(random_cptp_kraus(3, n_ops, np.random.default_rng(83 + n_ops)))
-    u = dil.unitary
-    assert unitarity_residual(dil) == frob(u.conj().T @ u - np.eye(len(u)))
+    rng = np.random.default_rng(83 + n_ops)
+    kraus = random_cptp_kraus(3, n_ops, rng)
+    dil = kraus_to_unitary(kraus)
+    isometry = kraus.folded_operators().transpose(1, 0, 2).reshape(3 * n_ops, 3)  # tall
+    joint = haar_unitary(3 * n_ops, rng)
+    for a in (dil.unitary, isometry, joint):
+        assert isometry_residual(a) == frob(a.conj().T @ a - np.eye(a.shape[1]))
+    assert unitarity_residual(dil) == isometry_residual(dil.unitary)
 
 
 def test_dilate_stages_peak_below_five_choi_matrices():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynamap.channels import cnot_gate, depolarizing_map, swap_gate, transpose_map
+from dynamap.channels import cnot_gate, depolarizing_map, ncp_family, swap_gate, transpose_map
 from dynamap.cpsplit import cp_split, verify_annihilation
 from dynamap.entangled import (
     ExtensionVerdict,
@@ -11,7 +11,6 @@ from dynamap.entangled import (
     bell_state,
     extension_witness,
     induced_dynamics,
-    ncp_family,
 )
 from dynamap.errors import DimensionMismatch, NotUnitary
 from dynamap.extension import reconstruct
@@ -42,7 +41,7 @@ def test_witness_bell_state():
     assert abs(cert.purity - 0.5) <= 1e-12
     assert cert.schmidt_rank == 2
     assert cert.verdict is ExtensionVerdict.POSITIVE_EXTENSION_IMPOSSIBLE
-    assert np.allclose(cert.reduced_state.matrix, np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(cert.reduced_state, np.eye(2) / 2, atol=1e-12)
     assert np.allclose(cert.schmidt_weights, [0.5, 0.5], atol=1e-12)
     assert "cannot be positive" in cert.explanation
 

@@ -8,12 +8,12 @@ from dynamap.channels import (
     amplitude_damping_map,
     identity_map,
     matrix_unit,
+    ncp_family,
     rotation_unitary,
     transpose_map,
     unitary_map,
 )
 from dynamap.cpsplit import cp_split, split_from_eigensystem
-from dynamap.entangled import ncp_family
 from dynamap.errors import SingularJ
 from dynamap.extension import (
     ExtendedState,

@@ -18,9 +18,8 @@ from dynamap.errors import DimensionMismatch, NonHermitianChoi
 from dynamap.channels import amplitude_damping_kraus
 from dynamap.docio import parse_document
 from dynamap.generators import random_cptp_kraus, random_density_matrix, random_tp_map
-from dynamap.linalg import DEFAULT_TOL, zero_cut
+from dynamap.linalg import zero_cut
 from dynamap.maps import (
-    DensityMatrix,
     KrausSet,
     LinearMap,
     a_form,
@@ -114,15 +113,15 @@ def test_kraus_to_map_matches_outer_product_loop():
         for s, w, op in zip(signs, weights, ops):
             v = op.reshape(-1)
             reference += s * w * np.outer(v, v.conj())
-        m = kraus_to_map(KrausSet(ops, weights), signs)
+        m = LinearMap(weighted_choi(np.array(ops), signs * weights))
         assert np.abs(m.choi - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
 
 
 def test_kraus_to_map_pauli_signs_give_transpose():
     ops = [np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2), SIGMA_Y / np.sqrt(2),
            SIGMA_Z / np.sqrt(2)]
-    signs = [1.0, 1.0, -1.0, 1.0]
-    m = kraus_to_map(KrausSet(ops), signs)
+    signs = np.array([1.0, 1.0, -1.0, 1.0])
+    m = LinearMap(weighted_choi(np.array(ops), signs))
     # oracle: expand the signed sum against the four matrix units directly
     for r in range(2):
         for s in range(2):
@@ -303,16 +302,6 @@ def test_map_to_kraus_basis_invariance_under_degeneracy():
             assert np.linalg.norm(out1 - out2) <= 1e-9
 
 
-def test_density_matrix_validation():
-    DensityMatrix(np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-
-
 def test_kraus_set_validation():
     with pytest.raises(DimensionMismatch):
         KrausSet([np.eye(2), np.eye(3)])
@@ -397,25 +386,6 @@ def test_sign_split_of_cp_map_has_empty_negative_stack():
     zero = weighted_choi(neg.operators, neg.weights)
     assert zero.shape == (4, 4) and not zero.any()
     assert not kraus_to_map(neg).choi.any()
-
-
-_STEP = 1 - 1e-6  # a relative step well above rounding, well inside any margin
-
-
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-def test_density_matrix_negative_eigenvalue_cut_scales_with_spectrum(scale):
-    cut = zero_cut([scale], DEFAULT_TOL)
-    inside = np.diag([scale, -cut * _STEP])
-    outside = np.diag([scale, -cut / _STEP])
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        DensityMatrix(outside)
-    if scale == 1.0:
-        rho = DensityMatrix(inside)
-        assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(rho.matrix))
-    else:
-        # past the eigenvalue check, only the unit-trace check can reject
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(inside)
 
 
 def test_linear_map_choi_is_read_only():
@@ -523,8 +493,9 @@ def test_dense_route_for_full_or_signed_kraus_sets(monkeypatch, case):
     rng = np.random.default_rng(12)
     if case == "complete_set":  # k = N^2: the Gram matrix would be no smaller
         m = kraus_to_map(random_cptp_kraus(2, 4, rng))
-    else:
-        m = kraus_to_map(random_cptp_kraus(2, 2, rng), signs=[1.0, -1.0])
+    else:  # a signed sum is no Kraus set
+        kraus = random_cptp_kraus(2, 2, rng)
+        m = LinearMap(weighted_choi(kraus.operators, [1.0, -1.0] * kraus.weights))
     values, vectors = m.eigensystem
     assert calls == ["eigh"] and vectors.shape == (4, 4)
     assert np.linalg.norm((vectors * values) @ vectors.conj().T - m.choi) <= 1e-12

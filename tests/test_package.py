@@ -11,11 +11,11 @@ PUBLIC = {
     "errors": "DynamapError DimensionMismatch NonHermitianChoi NotTracePreserving SingularJ "
               "NotCompleteKraus NotUnitary",
     "linalg": "ToleranceConfig DEFAULT_TOL partial_trace",
-    "maps": "LinearMap DensityMatrix KrausSet apply_map a_form from_a_form "
+    "maps": "LinearMap KrausSet apply_map a_form from_a_form "
             "kraus_to_map map_to_kraus choi_eigenvalues check_tp check_hermiticity_preserving "
             "check_cp",
     "channels": "identity_map unitary_map transpose_map depolarizing_map "
-                "amplitude_damping_kraus amplitude_damping_map",
+                "amplitude_damping_kraus amplitude_damping_map ncp_family",
     "cpsplit": "CPSplit AnnihilationReport TraceFunctionalReport cp_split split_from_eigensystem "
                "verify_annihilation trace_functionals",
     "extension": "ExtendedState DimensionReport SectorChoiReport build_extension "
@@ -23,7 +23,7 @@ PUBLIC = {
     "dilation": "UnitaryDilation RoundTripReport kraus_to_unitary unitarity_residual "
                 "dilation_round_trip",
     "entangled": "JointPureState WitnessCertificate AffineDynamics ExtensionVerdict bell_state "
-                 "extension_witness induced_dynamics ncp_family",
+                 "extension_witness induced_dynamics",
 }
 
 
