@@ -95,7 +95,9 @@ def _read_input(path: str) -> bytes:
         raise DocumentError("$", f"cannot read {path}: {exc}") from None
 
 
-def _resolve(args):
+def _resolve(args, joint=False):
+    """``(doc, tol, seed)`` of ``args.file``, which must be a joint_dynamics
+    document when ``joint`` and a map document otherwise."""
     from dataclasses import replace
 
     from .docio import parse_document
@@ -109,18 +111,12 @@ def _resolve(args):
             tol = replace(tol, residual_abs=args.tol_residual)
     except ValueError as exc:
         raise DocumentError("$.tolerances", str(exc)) from None
+    if joint and doc.state is None:
+        raise DocumentError("$.kind", f"{args.command} expects a joint_dynamics document")
+    if not joint and doc.linear_map is None:
+        raise DocumentError("$.kind", f"{args.command} expects a map document, got {doc.kind!r}")
     seed = args.seed if args.seed is not None else (doc.seed if doc.seed is not None else 0)
     return doc, tol, seed
-
-
-def _require_map_document(doc, command):
-    if doc.linear_map is None:
-        raise DocumentError("$.kind", f"{command} expects a map document, got {doc.kind!r}")
-
-
-def _require_joint_document(doc, command):
-    if doc.state is None:
-        raise DocumentError("$.kind", f"{command} expects a joint_dynamics document")
 
 
 def _map_section(m, tol) -> dict:
@@ -146,9 +142,9 @@ def _map_section(m, tol) -> dict:
     return section
 
 
-def _base_report(command, doc, tol, seed, args) -> dict:
+def _base_report(doc, tol, seed, args) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "input_digest": doc.digest,
         "tool_version": __version__,
         "seed": seed,
@@ -158,18 +154,17 @@ def _base_report(command, doc, tol, seed, args) -> dict:
     }
 
 
-def _decomposition_report(command, args):
+def _decomposition_report(args):
     """Resolve a map document, split it and build the ``decompose`` report;
     returns ``(report, split, tol, seed)``."""
     doc, tol, seed = _resolve(args)
-    _require_map_document(doc, command)
     from dataclasses import asdict
 
     from .cpsplit import cp_split, trace_functionals, verify_annihilation
     from .extension import dimension_report, sector_choi_report
 
     split = cp_split(doc.linear_map, tol)
-    report = _base_report(command, doc, tol, seed, args)
+    report = _base_report(doc, tol, seed, args)
     report["map"] = _map_section(doc.linear_map, tol)
     report.update({
         "split": {
@@ -223,13 +218,13 @@ def _emit(report: dict, fmt: str):
 
 
 def cmd_decompose(args) -> int:
-    report = _decomposition_report("decompose", args)[0]
+    report = _decomposition_report(args)[0]
     _emit(report, args.format)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    report, split, tol, seed = _decomposition_report("verify", args)
+    report, split, tol, seed = _decomposition_report(args)
     from .extension import reconstruct
     from .generators import random_density_matrix, seeded_stack
 
@@ -253,7 +248,6 @@ def cmd_verify(args) -> int:
 
 def cmd_dilate(args) -> int:
     doc, tol, seed = _resolve(args)
-    _require_map_document(doc, "dilate")
     from .maps import check_cp, map_to_kraus, require_tp
 
     m = doc.linear_map
@@ -270,7 +264,7 @@ def cmd_dilate(args) -> int:
 
     dil = kraus_to_unitary(positive, tol)
     trip = dilation_round_trip(dil, m, samples=args.samples, seed=seed, tol=tol)
-    report = _base_report("dilate", doc, tol, seed, args)
+    report = _base_report(doc, tol, seed, args)
     report["map"] = _map_section(m, tol)
     report["dilation"] = {
         "system_dim": dil.system_dim,
@@ -300,12 +294,11 @@ def _witness_section(state, cert) -> dict:
 
 
 def cmd_witness(args) -> int:
-    doc, tol, seed = _resolve(args)
-    _require_joint_document(doc, "witness")
+    doc, tol, seed = _resolve(args, joint=True)
     from .entangled import extension_witness
 
     cert = extension_witness(doc.state, tol)
-    report = _base_report("witness", doc, tol, seed, args)
+    report = _base_report(doc, tol, seed, args)
     report["witness"] = {
         **_witness_section(doc.state, cert),
         "schmidt_weights": cert.schmidt_weights,
@@ -317,8 +310,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    doc, tol, seed = _resolve(args)
-    _require_joint_document(doc, "extract")
+    doc, tol, seed = _resolve(args, joint=True)
     if doc.unitary is None:
         raise DocumentError("$.data.unitary", "extract requires a joint unitary")
     from .entangled import extension_witness, induced_dynamics
@@ -326,7 +318,7 @@ def cmd_extract(args) -> int:
     dynamics = induced_dynamics(doc.state, doc.unitary, tol)
     cert = extension_witness(doc.state, tol)
     m = dynamics.tp_linear_form
-    report = _base_report("extract", doc, tol, seed, args)
+    report = _base_report(doc, tol, seed, args)
     report["map"] = _map_section(m, tol)
     report["witness"] = _witness_section(doc.state, cert)
     report["extraction"] = {

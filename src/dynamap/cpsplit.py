@@ -42,13 +42,14 @@ from .linalg import (
     spectral_power,
     zero_cut,
 )
-from .maps import KrausSet, LinearMap, apply_map, kraus_to_map, require_tp, sign_split
+from .maps import LinearMap, apply_map, kraus_to_map, require_tp, sign_split
 from .generators import random_complex, random_density_matrix, seeded_stack
 
 
 @dataclass(frozen=True, eq=False)
 class CPSplit:
-    """The sign-split of a map together with its trace-functional data.
+    """The sign-split of a map, two CP part maps whose ``kraus`` are its two
+    Kraus families, together with its trace-functional data.
 
     ``plus_eigenvalues`` (ascending) and ``plus_eigenvectors`` are the
     eigensystem of ``plus_functional``.  ``kernel_basis`` and
@@ -64,8 +65,6 @@ class CPSplit:
     source: LinearMap
     positive_part: LinearMap
     negative_part: LinearMap
-    positive_kraus: KrausSet
-    negative_kraus: KrausSet
     plus_functional: np.ndarray
     minus_functional: np.ndarray
     plus_eigenvalues: np.ndarray
@@ -84,11 +83,11 @@ class CPSplit:
 
     @property
     def n_positive(self) -> int:
-        return len(self.positive_kraus)
+        return len(self.positive_part.kraus)
 
     @property
     def n_negative(self) -> int:
-        return len(self.negative_kraus)
+        return len(self.negative_part.kraus)
 
     @property
     def has_negative_part(self) -> bool:
@@ -163,8 +162,7 @@ def split_from_eigensystem(
     must lead to a split with identical action.
     """
     n = m.dim
-    positive_kraus, negative_kraus = sign_split(values, vectors, n, tol)
-    positive_part, negative_part = (kraus_to_map(k) for k in (positive_kraus, negative_kraus))
+    positive_part, negative_part = (kraus_to_map(k) for k in sign_split(values, vectors, n, tol))
     # Tr[part(X)] = Tr[F X] makes F the transposed output partial trace
     plus_functional, minus_functional = (
         partial_trace(part.choi, (n, n), "a").T for part in (positive_part, negative_part)
@@ -181,8 +179,6 @@ def split_from_eigensystem(
         source=m,
         positive_part=positive_part,
         negative_part=negative_part,
-        positive_kraus=positive_kraus,
-        negative_kraus=negative_kraus,
         plus_functional=plus_functional,
         minus_functional=minus_functional,
         plus_eigenvalues=j_vals,
@@ -218,7 +214,7 @@ def verify_annihilation(
     # N(X^dag) = N(X)^dag, so the |support><kernel| dyads repeat these norms
     cross = max_frob(apply_map(neg, dyads(kernel[:, None], support)))
     # every negative operator on every kernel vector, as a stack of columns
-    mechanism = max_frob(split.negative_kraus.operators[:, None] @ kernel[:, :, None])
+    mechanism = max_frob(neg.kraus.operators[:, None] @ kernel[:, :, None])
     rhos = seeded_stack(random_density_matrix, n, samples, seed)
     restriction = max_frob(apply_map(neg, rhos) - apply_map(neg, split.support_projector @ rhos))
 

@@ -70,7 +70,7 @@ def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> Uni
     # joint index (system row r, ancilla row i) -> r * d + i; ref ancilla 0
     isometry = kraus.folded_operators().transpose(1, 0, 2).reshape(total, n)
     res = isometry_residual(isometry)
-    if res > tol.residual_abs:
+    if not res <= tol.residual_abs:
         raise NotCompleteKraus(f"completeness residual {res:.3e} exceeds tolerance")
 
     unitary = np.empty((total, total), dtype=complex)

@@ -61,7 +61,7 @@ import math
 import numpy as np
 
 from .errors import DocumentError
-from .linalg import ToleranceConfig
+from .linalg import ToleranceConfig, frob
 from .maps import KrausSet, LinearMap, from_a_form, kraus_to_map
 
 _MATRIX_KINDS = ("choi", "superop_a", "superop_b")
@@ -265,11 +265,10 @@ def parse_document(raw: bytes) -> ParsedDocument:
         from .entangled import JointPureState
 
         amps = _complex_array(data["state"], "$.data.state", (ns * ne,), fast)
-        norm = np.linalg.norm(amps)
-        if norm < 1e-12:
+        if not amps.any():
             raise DocumentError("$.data.state", "state amplitudes are all zero")
         try:
-            state = JointPureState((ns, ne), amps / norm)
+            state = JointPureState((ns, ne), amps / frob(amps))
         except ValueError as exc:
             raise DocumentError("$.data.state", str(exc)) from None
         unitary = None

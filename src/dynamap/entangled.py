@@ -49,7 +49,7 @@ class JointPureState:
             raise DimensionMismatch(
                 f"amplitude vector of length {amps.shape} does not match dims {self.dims}"
             )
-        norm = np.linalg.norm(amps)
+        norm = frob(amps)
         if abs(norm - 1.0) > DEFAULT_TOL.residual_abs:
             raise ValueError(f"state norm {norm} differs from 1")
         object.__setattr__(self, "amplitudes", amps)
@@ -157,7 +157,7 @@ def induced_dynamics(
     if u.shape != (ns * ne, ns * ne):
         raise DimensionMismatch(f"unitary shape {u.shape} does not match dims {phi.dims}")
     res = isometry_residual(u)
-    if res > tol.residual_abs:
+    if not res <= tol.residual_abs:
         raise NotUnitary(f"unitarity residual {res:.3e} exceeds tolerance")
 
     joint = phi.projector()

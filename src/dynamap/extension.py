@@ -195,12 +195,12 @@ class SectorChoiReport:
 
 def _sector_min_eig(variant: str, sector) -> float:
     """Minimum eigenvalue of a sector's Choi matrix; ``sector`` is
-    ``(part, kraus, (left, right))``."""
-    part, kraus, (left, right) = sector
+    ``(part, (left, right))``."""
+    part, (left, right) = sector
     if variant == "symmetric":
         # a sector evolves by the Kraus operators L_i @ root, so its Choi is
         # W W^dag and the small Gram matrix W^dag W carries its spectrum
-        return _gram_min_eig(kraus, left)
+        return _gram_min_eig(part.kraus, left)
     return float(np.linalg.eigh(_sector_choi(part, left, right))[0][0])
 
 
@@ -215,11 +215,10 @@ def sector_choi_report(
     """
     sectors = list(zip(
         (split.positive_part, split.negative_part),
-        (split.positive_kraus, split.negative_kraus),
         _sector_factors(split, variant, inverse=True),
     ))[: 2 if split.has_negative_part else 1]
     measured = []
-    for part, _, (left, right) in sectors:
+    for part, (left, right) in sectors:
         choi = _sector_choi(part, left, right)
         measured.append((*hermiticity_check(choi, tol), frob(choi)))
         del choi

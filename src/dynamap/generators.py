@@ -70,14 +70,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_tp_map(dim: int, rng: np.random.Generator, n_kraus: int | None = None) -> LinearMap:
+def random_tp_map(dim: int, rng: np.random.Generator) -> LinearMap:
     """Random trace-preserving Hermiticity-preserving map, usually NCP; at
     ``dim`` 2 some draws are CP (see the module docstring)."""
-    if n_kraus is None:
-        n_kraus = dim
     while True:
-        ops = np.array([random_complex((dim, dim), rng) for _ in range(n_kraus)])
-        base = weighted_choi(ops, np.ones(n_kraus))
+        ops = np.array([random_complex((dim, dim), rng) for _ in range(dim)])
+        base = weighted_choi(ops, np.ones(dim))
         g_base = partial_trace(base, (dim, dim), "a")
         lam = np.linalg.eigvalsh(g_base)
         if lam[-1] <= 0.0 or lam[0] < 1e-3 * lam[-1]:

@@ -61,36 +61,28 @@ def as_complex_matrix(m) -> np.ndarray:
     return as_complex_stack(a)
 
 
-def _without_overflow(norm, a: np.ndarray) -> float:
-    """``norm(a)`` for a norm whose sum of squares can overflow: when it
-    does on finite entries, the norm of ``a`` scaled down by its largest
-    entry, scaled back up.  Other inputs keep the plain result exactly."""
-    with np.errstate(over="ignore"):
-        value = norm(a)
-    if value == math.inf and np.isfinite(a).all():
-        scale = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
-        value = scale * norm(a / scale)
-    return value
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a norm below it had subnormal squares
 
 
 def frob(m) -> float:
-    """Frobenius norm; finite for finite entries up to the float range."""
-    return _without_overflow(lambda a: float(np.linalg.norm(a)), np.asarray(m))
+    """Frobenius norm; finite and nonzero for finite, nonzero entries.  A sum
+    of squares that overflows, or underflows below the smallest normal float,
+    is taken again on the entries scaled by the largest; other inputs keep
+    the plain ``np.linalg.norm`` exactly."""
+    a = np.asarray(m)
+    with np.errstate(over="ignore", under="ignore"):
+        value = float(np.linalg.norm(a))
+    if not _SQRT_TINY <= value < math.inf and np.isfinite(a).all():
+        scale = max(float(np.abs(a.real).max(initial=0.0)), float(np.abs(a.imag).max(initial=0.0)))
+        if scale:
+            value = scale * float(np.linalg.norm(a / scale))
+    return value
 
 
-def _max_frob(stack: np.ndarray) -> float:
-    size = stack.shape[-2] * stack.shape[-1]
-    rows, cols = stack.reshape(-1, 1, size), stack.reshape(-1, size, 1)
-    squares = rows.real @ cols.real + rows.imag @ cols.imag
-    return float(np.sqrt(np.max(squares, initial=0.0)))
-
-
-def max_frob(stack: np.ndarray) -> float:
-    """Largest Frobenius norm over a stack ``(..., rows, cols)``; 0.0 for an
-    empty stack.  Each squared norm is the real dot product of the flattened
-    entries, the sum ``np.linalg.norm`` forms, so one matrix gives
-    :func:`frob` exactly."""
-    return _without_overflow(_max_frob, stack)
+def max_frob(stack) -> float:
+    """Largest :func:`frob` over a stack ``(..., rows, cols)``; 0.0 if empty."""
+    stack = np.asarray(stack)
+    return float(np.max([frob(m) for m in stack.reshape(-1, *stack.shape[-2:])], initial=0.0))
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
@@ -101,8 +93,10 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
 def isometry_residual(a: np.ndarray) -> float:
     """``‖a^dag a - 1‖_F``, the identity subtracted in place on the diagonal:
-    Kraus completeness of a stacked isometry, or unitarity of a square ``a``."""
-    gram = a.conj().T @ a
+    Kraus completeness of a stacked isometry, or unitarity of a square ``a``.
+    Entries too large to square give ``inf`` or ``nan``, which no bound passes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.conj().T @ a
     gram.reshape(-1)[:: len(gram) + 1] -= 1.0
     return frob(gram)
 

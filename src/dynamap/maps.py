@@ -39,17 +39,16 @@ from .linalg import (
 class LinearMap:
     """A linear map on ``dim x dim`` matrices, stored as its Choi matrix.
 
-    Physicality verdicts (trace preserving, Hermiticity preserving,
-    completely positive) are computed on demand by ``check_tp``,
-    ``check_hermiticity_preserving`` and ``check_cp`` and cached per
-    tolerance configuration; the Choi spectrum is solved once, on first
-    use, and only as far as it is read (``eigenvalues`` or ``eigensystem``).
+    ``check_tp`` and ``check_hermiticity_preserving`` compute their verdicts
+    on demand and cache them per tolerance configuration; ``check_cp`` reads
+    the Choi spectrum, solved once, on first use, and only as far as it is
+    read (``eigenvalues`` or ``eigensystem``).
     ``choi`` is a read-only private copy, so no cache can go stale; an array
     that owns its data and is read-only already, as :func:`kraus_to_map`,
     :func:`from_a_form` and the document parser hand over the matrix they
-    built, is kept uncopied.  ``kraus``, a :class:`KrausSet` whose
-    ``weighted_choi`` is ``choi``, is kept (by reference) when it has fewer
-    than ``dim**2`` operators, for the Gram route of ``eigensystem``.
+    built, is kept uncopied.  ``kraus`` is the :class:`KrausSet` whose
+    ``weighted_choi`` is ``choi`` (kept by reference), or ``None``; below
+    ``dim**2`` operators the spectrum is solved on its Gram matrix.
     """
 
     def __init__(self, choi, kraus=None):
@@ -66,9 +65,12 @@ class LinearMap:
         self.dim = dim
         self.choi = choi
         self._verdicts = {}
-        self._kraus = kraus if kraus is not None and len(kraus) < side else None
+        self.kraus = kraus
         self._eigenvalues = None
         self._eigensystem = None
+
+    def _gram_route(self) -> bool:  # only then is the Gram matrix smaller than choi
+        return self.kraus is not None and len(self.kraus) < len(self.choi)
 
     @property
     def eigensystem(self):
@@ -76,8 +78,8 @@ class LinearMap:
         ``dim**2`` eigenvalues descending, and as columns the orthonormal
         eigenvectors of the leading ones.
 
-        A dense ``eigh`` gives a column for every eigenvalue.  A kept Kraus
-        set is solved on its ``k x k`` Gram matrix
+        A dense ``eigh`` gives a column for every eigenvalue.  A Kraus set
+        of ``k < dim**2`` operators is solved on its ``k x k`` Gram matrix
         (:func:`~dynamap.linalg.gram_eigensystem`), which gives columns for
         the positive eigenvalues only; every eigenvalue past the last column
         is exactly ``0.0``.  Only the lower triangle of ``choi`` is read, so
@@ -85,11 +87,11 @@ class LinearMap:
         preservation first.
         """
         if self._eigensystem is None:
-            if self._kraus is None:
+            if not self._gram_route():
                 values, vectors = np.linalg.eigh(self.choi)
                 values, vectors = values[::-1], vectors[:, ::-1]
             else:  # the Choi matrix is sum_i v_i v_i^dag over v_i = sqrt(w_i) vec(M_i)
-                rows = self._kraus.folded_operators().reshape(-1, len(self.choi))
+                rows = self.kraus.folded_operators().reshape(-1, len(self.choi))
                 values, vectors = gram_eigensystem(rows)
             values.flags.writeable = vectors.flags.writeable = False
             self._eigensystem = (values, vectors)
@@ -100,7 +102,7 @@ class LinearMap:
         """The eigensystem's values once it is cached (or cheap: the Gram
         route), else one ``eigvalsh`` without eigenvectors, cached;
         descending and read-only."""
-        if self._eigensystem is None and self._kraus is None:
+        if self._eigensystem is None and not self._gram_route():
             if self._eigenvalues is None:
                 self._eigenvalues = np.linalg.eigvalsh(self.choi)[::-1]
                 self._eigenvalues.flags.writeable = False
@@ -211,8 +213,8 @@ def weighted_choi(operators: np.ndarray, weights) -> np.ndarray:
 def kraus_to_map(kraus: KrausSet) -> LinearMap:
     """Choi matrix of ``rho -> sum_i w_i M_i rho M_i^dag``.
 
-    ``kraus`` is handed to the map by reference (no copy), for the Gram
-    route of its eigensystem.  A signed sum of CP maps is
+    ``kraus`` is handed to the map by reference (no copy) as
+    :attr:`LinearMap.kraus`.  A signed sum of CP maps is
     :func:`weighted_choi` with signed weights.
     """
     choi = weighted_choi(kraus.operators, kraus.weights)
@@ -302,9 +304,6 @@ def check_cp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     otherwise).  Returns ``(verdict, min_choi_eigenvalue)`` where the verdict
     allows eigenvalues down to ``-zero_eig_rel * max|eig|``.
     """
-    key = ("cp", tol)
-    if key not in m._verdicts:
-        values = choi_eigenvalues(m, tol)
-        min_eig = float(values[-1])
-        m._verdicts[key] = (min_eig >= -zero_cut(values, tol), min_eig)
-    return m._verdicts[key]
+    values = choi_eigenvalues(m, tol)
+    min_eig = float(values[-1])
+    return min_eig >= -zero_cut(values, tol), min_eig

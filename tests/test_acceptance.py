@@ -156,7 +156,7 @@ def test_criterion_02_extension_condition():
 def _functionals_by_literal_sums(split):
     n = split.dim
     out = []
-    for kraus in (split.positive_kraus, split.negative_kraus):
+    for kraus in (split.positive_part.kraus, split.negative_part.kraus):
         choi4 = (
             kraus_to_map(kraus).choi4
             if len(kraus)

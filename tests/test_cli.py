@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +649,56 @@ def test_extreme_tolerances_end_in_an_exit_code(tmp_path, fixture, tolerance):
     codes = {name: fixture_reports.run([args[0], str(path), *args[1:], *flags])[0]
              for name, args in fixture_reports.COMMANDS.items()}
     assert set(codes.values()) <= {0, 1, 2, 3}, codes
+
+
+def _scaled(node, scale):
+    if isinstance(node, list):
+        return [_scaled(entry, scale) for entry in node]
+    return node * scale
+
+
+_MAGNITUDES = [
+    *((name, "data", scale) for name in ("transpose_choi.json", "ncp_family_05_choi.json",
+                                         "amplitude_damping_kraus.json")
+      for scale in (1e300, 1e-300)),
+    *(("bell_cnot_joint.json", "state", scale) for scale in (2.0 ** -60, 2.0 ** 600, 2.0 ** -600)),
+    *(("bell_cnot_joint.json", "unitary", scale) for scale in (1e200, 1e300)),
+]
+
+
+@pytest.mark.parametrize("fixture,key,scale", _MAGNITUDES)
+def test_scaled_documents_end_in_an_exit_code(tmp_path, fixture, key, scale):
+    # every command on documents scaled toward the ends of the float range
+    fixture_reports = _fixture_reports()
+    doc = json.loads((FIXTURES / fixture).read_bytes())
+    if key == "unitary":  # a finite joint matrix that is not unitary
+        doc["data"]["unitary"] = [[[scale * (i == j), 0.0] for j in range(4)] for i in range(4)]
+    elif key == "state":
+        doc["data"]["state"] = _scaled(doc["data"]["state"], scale)
+    else:
+        doc["data"] = _scaled(doc["data"], scale)
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runs = {name: fixture_reports.run([args[0], str(path), *args[1:]])
+                for name, args in fixture_reports.COMMANDS.items()}
+    assert not caught and {code for code, _, _ in runs.values()} <= {0, 1, 2, 3}
+    if key == "unitary":
+        assert runs["extract"][0] == 2 and runs["extract"][2].count("\n") == 1
+    if key != "state":
+        return
+    for name in ("witness", "extract"):  # the state is normalized: same verdicts
+        code, out, err = runs[name]
+        reference = fixture_reports.run([name, str(FIXTURES / fixture)])[1]
+        got, want = json.loads(out), json.loads(reference)
+        assert code == 0 and err == ""
+        for field in ("verdict", "schmidt_rank"):
+            assert got["witness"][field] == want["witness"][field]
+        if scale == 2.0 ** -60:  # exact in binary: the same bytes but for the digest
+            assert out.replace(got["input_digest"], want["input_digest"]) == reference
+    extracted = [np.array(r["extraction"]["extracted_map"]["data"]) for r in (got, want)]
+    assert np.abs(extracted[0] - extracted[1]).max() <= want["tolerances"]["residual_abs"]
 
 
 @pytest.mark.parametrize("command", ["witness", "extract"])

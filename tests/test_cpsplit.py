@@ -252,7 +252,7 @@ def _annihilation_loops(split, samples, seed):
             psi = support[:, r]
             cross = max(cross, norm(apply_map(neg, np.outer(phi, psi.conj()))))
             cross = max(cross, norm(apply_map(neg, np.outer(psi, phi.conj()))))
-        for op in split.negative_kraus.operators:
+        for op in split.negative_part.kraus.operators:
             mechanism = max(mechanism, norm(op @ phi))
     rng = np.random.default_rng(seed)
     for _ in range(samples):

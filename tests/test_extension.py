@@ -342,7 +342,7 @@ def test_symmetric_gram_minima_match_the_sector_choi_spectra():
         rep = sector_choi_report(s, "symmetric")
         reported = (rep.plus_min_eig, rep.minus_min_eig)
         for a, kraus, got in zip(_kron_a_forms(s, "symmetric"),
-                                 (s.positive_kraus, s.negative_kraus), reported):
+                                 (s.positive_part.kraus, s.negative_part.kraus), reported):
             if not len(kraus):
                 assert got is None
                 continue

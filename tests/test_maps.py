@@ -501,6 +501,18 @@ def test_dense_route_for_full_or_signed_kraus_sets(monkeypatch, case):
     assert np.linalg.norm((vectors * values) @ vectors.conj().T - m.choi) <= 1e-12
 
 
+@pytest.mark.parametrize("n_ops", [2, 4, 5])
+def test_kraus_to_map_keeps_the_kraus_set_it_was_given(monkeypatch, n_ops):
+    # N = 2: fewer than N^2 operators take the Gram route, N^2 or more the dense one
+    calls = _record_solves(monkeypatch, 4)
+    kraus = random_cptp_kraus(2, n_ops, np.random.default_rng(13))
+    m = kraus_to_map(kraus)
+    assert m.kraus is kraus
+    m.eigenvalues, m.eigensystem
+    assert calls == ([] if n_ops < 4 else ["eigvalsh", "eigh"])
+    assert m.kraus is kraus
+
+
 def test_sign_split_rejects_nonzero_eigenvalue_without_vector():
     values, vectors = kraus_to_map(amplitude_damping_kraus(0.3)).eigensystem
     assert vectors.shape == (4, 2)
