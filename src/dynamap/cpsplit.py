@@ -38,7 +38,6 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     max_frob,
-    partial_trace,
     spectral_power,
     zero_cut,
 )
@@ -165,7 +164,7 @@ def split_from_eigensystem(
     positive_part, negative_part = (kraus_to_map(k) for k in sign_split(values, vectors, n, tol))
     # Tr[part(X)] = Tr[F X] makes F the transposed output partial trace
     plus_functional, minus_functional = (
-        partial_trace(part.choi, (n, n), "a").T for part in (positive_part, negative_part)
+        np.einsum("aiaj->ij", part.choi4).T for part in (positive_part, negative_part)
     )
 
     j_vals, j_vecs = np.linalg.eigh(plus_functional)

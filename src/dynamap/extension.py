@@ -161,12 +161,17 @@ def _gram_min_eig(kraus: KrausSet, root: np.ndarray) -> float:
 
     The columns of W are ``sqrt(w_i) vec(M_i root)``; the l x l Gram matrix
     ``W^dag W`` has the same nonzero spectrum, and the N^2 - l eigenvalues
-    it lacks are zero.
+    it lacks are zero.  It is summed over the N row blocks of W, the
+    ``(l, N)`` matrices ``B_a = sqrt(w) (M[:, a, :] @ root)``, so no
+    ``(l, N^2)`` stack is held.
     """
-    w = np.sqrt(kraus.weights)[:, None, None] * (kraus.operators @ root)
-    w = w.reshape(len(kraus), -1)
-    eigs = np.linalg.eigvalsh(w.conj() @ w.T)
-    return float(eigs[0] if len(eigs) == w.shape[1] else min(eigs[0], 0.0))
+    ops, scale = kraus.operators, np.sqrt(kraus.weights)[:, None]
+    gram = np.zeros((len(ops), len(ops)), dtype=complex)
+    for a in range(kraus.dim):
+        block = scale * (ops[:, a, :] @ root)
+        gram += block.conj() @ block.T
+    eigs = np.linalg.eigvalsh(gram)
+    return float(eigs[0] if len(eigs) == kraus.dim ** 2 else min(eigs[0], 0.0))
 
 
 @dataclass(frozen=True)

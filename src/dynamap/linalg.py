@@ -94,11 +94,12 @@ def hermiticity_residual(m: np.ndarray) -> float:
 def isometry_residual(a: np.ndarray) -> float:
     """``‖a^dag a - 1‖_F``, the identity subtracted in place on the diagonal:
     Kraus completeness of a stacked isometry, or unitarity of a square ``a``.
-    Entries too large to square give ``inf`` or ``nan``, which no bound passes."""
+    Finite entries too large to square give ``inf``, which no bound passes."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = a.conj().T @ a
     gram.reshape(-1)[:: len(gram) + 1] -= 1.0
-    return frob(gram)
+    value = frob(gram)
+    return math.inf if math.isnan(value) else value  # an overflowed product holds nan
 
 
 def hermiticity_check(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:

@@ -31,9 +31,21 @@ from .linalg import (
     frob,
     gram_eigensystem,
     hermiticity_check,
-    partial_trace,
     zero_cut,
 )
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, read-only, when it and every array whose memory it views
+    are read-only already; else a read-only copy, so that no writable array
+    shares the memory a holder keeps."""
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:  # a writable array, or memory numpy does not own
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 class LinearMap:
@@ -43,25 +55,22 @@ class LinearMap:
     on demand and cache them per tolerance configuration; ``check_cp`` reads
     the Choi spectrum, solved once, on first use, and only as far as it is
     read (``eigenvalues`` or ``eigensystem``).
-    ``choi`` is a read-only private copy, so no cache can go stale; an array
-    that owns its data and is read-only already, as :func:`kraus_to_map`,
-    :func:`from_a_form` and the document parser hand over the matrix they
-    built, is kept uncopied.  ``kraus`` is the :class:`KrausSet` whose
-    ``weighted_choi`` is ``choi`` (kept by reference), or ``None``; below
-    ``dim**2`` operators the spectrum is solved on its Gram matrix.
+    ``choi`` is read-only and kept by :func:`_frozen`, so no cache can go
+    stale; :func:`kraus_to_map`, :func:`from_a_form` and the document parser
+    hand over the matrix they built uncopied.  ``kraus`` is the
+    :class:`KrausSet` whose ``weighted_choi`` is ``choi`` (kept by
+    reference), or ``None``; below ``dim**2`` operators the spectrum is
+    solved on its Gram matrix.
     """
 
     def __init__(self, choi, kraus=None):
-        choi = as_complex_matrix(choi)
-        if choi.flags.writeable or not choi.flags.owndata:
-            choi = choi.copy()
+        choi = _frozen(as_complex_matrix(choi))
         side = choi.shape[0]
         if choi.shape[0] != choi.shape[1]:
             raise DimensionMismatch(f"Choi matrix must be square, got {choi.shape}")
         dim = round(side ** 0.5)
         if dim * dim != side:
             raise DimensionMismatch(f"Choi side {side} is not a perfect square")
-        choi.flags.writeable = False
         self.dim = dim
         self.choi = choi
         self._verdicts = {}
@@ -75,8 +84,9 @@ class LinearMap:
     @property
     def eigensystem(self):
         """``(values, vectors)`` of the Choi matrix, both read-only: all
-        ``dim**2`` eigenvalues descending, and as columns the orthonormal
-        eigenvectors of the leading ones.
+        ``dim**2`` eigenvalues descending, and as contiguous columns (the
+        transpose of a read-only array) the orthonormal eigenvectors of the
+        leading ones, so that :func:`sign_split` reshapes them without a copy.
 
         A dense ``eigh`` gives a column for every eigenvalue.  A Kraus set
         of ``k < dim**2`` operators is solved on its ``k x k`` Gram matrix
@@ -89,11 +99,12 @@ class LinearMap:
         if self._eigensystem is None:
             if not self._gram_route():
                 values, vectors = np.linalg.eigh(self.choi)
-                values, vectors = values[::-1], vectors[:, ::-1]
+                # one copy makes each column contiguous; eigh's array is freed
+                values, vectors = values[::-1], np.ascontiguousarray(vectors[:, ::-1].T).T
             else:  # the Choi matrix is sum_i v_i v_i^dag over v_i = sqrt(w_i) vec(M_i)
                 rows = self.kraus.folded_operators().reshape(-1, len(self.choi))
                 values, vectors = gram_eigensystem(rows)
-            values.flags.writeable = vectors.flags.writeable = False
+            values.flags.writeable = vectors.flags.writeable = vectors.base.flags.writeable = False
             self._eigensystem = (values, vectors)
         return self._eigensystem
 
@@ -123,16 +134,16 @@ class KrausSet:
     """A weighted family of same-sized operators realizing a CP map.
 
     ``operators`` is one complex ``(k, N, N)`` stack (``(0, N, N)`` keeps
-    ``N`` for an empty set) and ``weights`` are positive reals (default all
-    one), both read-only copies; the induced map is
-    ``rho -> sum_i w_i M_i rho M_i^dag``.  Completeness
+    ``N`` for an empty set), read-only and kept by :func:`_frozen`, and
+    ``weights`` are positive reals (default all one), a read-only copy; the
+    induced map is ``rho -> sum_i w_i M_i rho M_i^dag``.  Completeness
     ``sum_i w_i M_i^dag M_i = 1`` holds exactly when that map is trace
     preserving; it is checked by consumers, never assumed here.
     """
 
     def __init__(self, operators, weights=None):
         try:
-            ops = np.array(operators, dtype=complex)
+            ops = np.asarray(operators, dtype=complex)
         except ValueError:  # ragged nesting
             raise DimensionMismatch("Kraus operators must all have one square shape") from None
         ops = as_complex_stack(ops.reshape(0, 0, 0) if ops.shape == (0,) else ops)
@@ -143,8 +154,8 @@ class KrausSet:
             raise DimensionMismatch("weights must match the number of operators")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
-        ops.flags.writeable = weights.flags.writeable = False  # a map may hold this set
-        self.operators = ops
+        weights.flags.writeable = False  # a map may hold this set
+        self.operators = _frozen(ops)
         self.weights = weights
         self.dim = ops.shape[1]
 
@@ -239,7 +250,8 @@ def sign_split(values, vectors, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
     values = np.asarray(values, dtype=float)
     if np.any(values[1:] > values[:-1]):
         raise ValueError("eigenvalues must be sorted descending")
-    ops = np.asarray(vectors, dtype=complex).T.reshape(-1, dim, dim)  # a view of the columns
+    # a view of the columns when they are contiguous, as in LinearMap.eigensystem
+    ops = np.asarray(vectors, dtype=complex).T.reshape(-1, dim, dim)
     cut = zero_cut(values, tol)
     n_pos = int(np.count_nonzero(values > cut))
     neg = len(values) - int(np.count_nonzero(values < -cut))
@@ -282,7 +294,7 @@ def check_tp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     index must equal the identity.  Returns ``(verdict, residual)``."""
     key = ("tp", tol)
     if key not in m._verdicts:
-        traced = partial_trace(m.choi, (m.dim, m.dim), "a")
+        traced = np.einsum("aiaj->ij", m.choi4)  # partial_trace, without re-validating
         residual = frob(traced - np.eye(m.dim))
         m._verdicts[key] = (residual <= tol.residual_abs, residual)
     return m._verdicts[key]

@@ -686,6 +686,7 @@ def test_scaled_documents_end_in_an_exit_code(tmp_path, fixture, key, scale):
     assert not caught and {code for code, _, _ in runs.values()} <= {0, 1, 2, 3}
     if key == "unitary":
         assert runs["extract"][0] == 2 and runs["extract"][2].count("\n") == 1
+        assert "unitarity residual inf exceeds" in runs["extract"][2]  # not nan
     if key != "state":
         return
     for name in ("witness", "extract"):  # the state is normalized: same verdicts

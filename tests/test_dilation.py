@@ -177,6 +177,11 @@ def test_unitarity_residual_equals_the_difference_norm(n_ops):
     assert unitarity_residual(dil) == isometry_residual(dil.unitary)
 
 
+def test_overflowing_completeness_residual_reads_inf():
+    with pytest.raises(NotCompleteKraus, match="residual inf exceeds"):
+        kraus_to_unitary(KrausSet([1e200 * np.eye(2)]))
+
+
 def test_dilate_stages_peak_below_five_choi_matrices():
     # N=16, 16 operators: the Choi matrix and the 256 x 256 unitary stay; the
     # dense Choi eigensystem and the evolve stack of the old path peaked at 5.7

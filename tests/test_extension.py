@@ -372,3 +372,21 @@ def test_sector_choi_report_holds_one_sector_at_a_time(variant):
         # one sector's Choi matrix and the one temporary of its Hermiticity
         # residual; both sectors' matrices at once peaked at 5
         assert peak < 3.5 * unit
+
+
+def test_symmetric_gram_holds_no_operator_stack():
+    from dynamap.extension import _gram_min_eig, _sector_factors
+
+    s = cp_split(random_tp_map_with_kernel(16, np.random.default_rng(15)))
+    kraus, (root, _) = s.positive_part.kraus, _sector_factors(s, "symmetric", inverse=True)[0]
+    assert len(kraus) > 4 * s.dim  # a (k, N) row block is small beside k x k
+    unit = len(kraus) ** 2 * 16  # one complex k x k matrix
+    tracemalloc.start()
+    try:
+        _gram_min_eig(kraus, root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the Gram matrix and one block product; the (k, N^2) stack of M_i root
+    # with its weighted and conjugate copies peaked at about 3
+    assert peak < 2.5 * unit

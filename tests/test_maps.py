@@ -358,6 +358,21 @@ def test_kraus_set_owns_its_stack():
     assert kraus.operators[0, 0, 0] == 1.0
 
 
+def test_kraus_set_keeps_only_a_frozen_stack():
+    # a read-only view of a writable array is still copied
+    source = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    view = source[:]
+    view.flags.writeable = False
+    held = KrausSet(view)
+    source[0, 0, 0] = 5.0
+    assert held.operators[0, 0, 0] == 1.0
+    # a read-only array that no writable array views is kept by reference
+    frozen = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    frozen.flags.writeable = False
+    assert KrausSet(frozen).operators is frozen
+    assert KrausSet(frozen[1:]).operators.base is frozen
+
+
 @pytest.mark.parametrize("m", [transpose_map(3), random_tp_map(3, np.random.default_rng(5))],
                          ids=["transpose", "random_tp"])
 def test_sign_split_returns_stacks_whose_signed_sum_is_the_map(m):
