@@ -86,13 +86,16 @@ def _build_parser() -> _Parser:
 
 
 def _read_input(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        if path != "-":
+            with open(path, "rb") as fh:
+                return fh.read()
+        if sys.stdin is None:  # the process was started with stdin closed
+            raise OSError("stdin is closed")
+        return sys.stdin.buffer.read()
     except OSError as exc:
-        raise DocumentError("$", f"cannot read {path}: {exc}") from None
+        source = "stdin" if path == "-" else path
+        raise DocumentError("$", f"cannot read {source}: {exc}") from None
 
 
 def _resolve(args, joint=False):
@@ -136,9 +139,8 @@ def _map_section(m, tol) -> dict:
     }
     if hp_ok:
         cp_ok, min_eig = check_cp(m, tol)
-        section["is_cp"] = cp_ok
-        section["min_choi_eigenvalue"] = min_eig
-        section["choi_eigenvalues"] = choi_eigenvalues(m, tol)
+        section.update(is_cp=cp_ok, min_choi_eigenvalue=min_eig,
+                       choi_eigenvalues=choi_eigenvalues(m, tol))
     return section
 
 
@@ -230,7 +232,7 @@ def cmd_verify(args) -> int:
 
     states = seeded_stack(random_density_matrix, split.dim, args.samples, seed)
     worst = reconstruct(split, states, args.variant)[1]
-    passed = worst <= tol.residual_abs
+    passed = tol.passes(worst)
     report["reconstruction"] = {
         "variant": args.variant,
         "samples": args.samples,

@@ -200,7 +200,7 @@ def verify_annihilation(
 ) -> AnnihilationReport:
     """Measure how exactly the negative part annihilates the kernel.
 
-    All four residual families must stay below ``residual_abs``; they are
+    All four residual families must pass ``tol``; they are
     vacuously zero when the kernel is empty (checks over empty index sets).
     """
     n, neg = split.dim, split.negative_part
@@ -224,7 +224,7 @@ def verify_annihilation(
         mechanism_residual=mechanism,
         support_restriction_residual=restriction,
         max_residual=worst,
-        passed=bool(worst <= tol.residual_abs),
+        passed=tol.passes(worst),
     )
 
 
@@ -262,5 +262,5 @@ def trace_functionals(
         plus_inverse_residual=plus_inv_res,
         minus_support_residual=minus_sup_res,
         max_residual=worst,
-        passed=bool(worst <= tol.residual_abs),
+        passed=tol.passes(worst),
     )

@@ -69,9 +69,7 @@ def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> Uni
     total = n * d
     # joint index (system row r, ancilla row i) -> r * d + i; ref ancilla 0
     isometry = kraus.folded_operators().transpose(1, 0, 2).reshape(total, n)
-    res = isometry_residual(isometry)
-    if not res <= tol.residual_abs:
-        raise NotCompleteKraus(f"completeness residual {res:.3e} exceeds tolerance")
+    tol.require(NotCompleteKraus, "completeness", isometry_residual(isometry))
 
     unitary = np.empty((total, total), dtype=complex)
     unitary[:, ::d] = isometry
@@ -98,4 +96,4 @@ def dilation_round_trip(
         )
     rhos = seeded_stack(random_density_matrix, m.dim, samples, seed)
     worst = max_frob(dilation.evolve(rhos) - apply_map(m, rhos))
-    return RoundTripReport(max_residual=worst, passed=worst <= tol.residual_abs)
+    return RoundTripReport(max_residual=worst, passed=tol.passes(worst))

@@ -61,7 +61,7 @@ import math
 import numpy as np
 
 from .errors import DocumentError
-from .linalg import ToleranceConfig, frob
+from .linalg import ToleranceConfig, _unit_power, frob
 from .maps import KrausSet, LinearMap, from_a_form, kraus_to_map
 
 _MATRIX_KINDS = ("choi", "superop_a", "superop_b")
@@ -267,6 +267,7 @@ def parse_document(raw: bytes) -> ParsedDocument:
         amps = _complex_array(data["state"], "$.data.state", (ns * ne,), fast)
         if not amps.any():
             raise DocumentError("$.data.state", "state amplitudes are all zero")
+        amps = amps * _unit_power(amps)  # exact, so that the norm divides at any scale
         try:
             state = JointPureState((ns, ne), amps / frob(amps))
         except ValueError as exc:

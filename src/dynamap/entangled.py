@@ -50,7 +50,7 @@ class JointPureState:
                 f"amplitude vector of length {amps.shape} does not match dims {self.dims}"
             )
         norm = frob(amps)
-        if abs(norm - 1.0) > DEFAULT_TOL.residual_abs:
+        if not DEFAULT_TOL.passes(abs(norm - 1.0)):  # NaN amplitudes never pass
             raise ValueError(f"state norm {norm} differs from 1")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -156,9 +156,7 @@ def induced_dynamics(
     u = np.asarray(u, dtype=complex)
     if u.shape != (ns * ne, ns * ne):
         raise DimensionMismatch(f"unitary shape {u.shape} does not match dims {phi.dims}")
-    res = isometry_residual(u)
-    if not res <= tol.residual_abs:
-        raise NotUnitary(f"unitarity residual {res:.3e} exceeds tolerance")
+    tol.require(NotUnitary, "unitarity", isometry_residual(u))
 
     joint = phi.projector()
     rho_s = phi.reduced_system()

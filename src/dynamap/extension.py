@@ -41,7 +41,7 @@ import numpy as np
 
 from .cpsplit import CPSplit
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, ToleranceConfig, frob, hermiticity_check, max_frob
+from .linalg import DEFAULT_TOL, ToleranceConfig, frob, hermiticity_residual, max_frob
 from .maps import KrausSet, LinearMap, apply_map, as_states
 
 
@@ -225,19 +225,18 @@ def sector_choi_report(
     measured = []
     for part, (left, right) in sectors:
         choi = _sector_choi(part, left, right)
-        measured.append((*hermiticity_check(choi, tol), frob(choi)))
+        measured.append((hermiticity_residual(choi), frob(choi)))
         del choi
-    oks, residuals, norms = zip(*measured)
+    oks = [tol.passes(res, norm) for res, norm in measured]
+    residuals, norms = zip(*measured)
     full_res = math.hypot(*residuals)
-    full_ok = full_res <= tol.residual_abs * max(1.0, math.hypot(*norms))
+    full_ok = tol.passes(full_res, math.hypot(*norms))
     # the eigensolver reads one triangle, so a sector that fails its own
     # Hermiticity verdict still has a spectrum inside a Hermitian full Choi
     min_eigs = [_sector_min_eig(variant, sector) if ok or full_ok else None
                 for ok, sector in zip(oks, sectors)]
-    full_min = None
-    if full_ok:
-        # two sectors leave zero rows and columns in the padded full Choi
-        full_min = min(min_eigs + [0.0]) if len(sectors) == 2 else min_eigs[0]
+    # two sectors leave zero rows and columns in the padded full Choi
+    full_min = min(min_eigs + [0.0] * (len(sectors) - 1)) if full_ok else None
     stats = [(res, eig if ok else None) for ok, res, eig in zip(oks, residuals, min_eigs)]
     (plus_res, plus_min), (minus_res, minus_min) = stats + [(None, None)] * (2 - len(stats))
     return SectorChoiReport(

@@ -20,13 +20,13 @@ class ToleranceConfig:
 
     Every spectral decision (sign, rank, support, PSD, singularity) uses
     :func:`zero_cut`: ``zero_eig_rel`` times the largest absolute eigenvalue
-    of the same spectrum, so it is scale invariant.  ``residual_abs`` bounds
-    Frobenius residuals.  A Hermiticity residual is bounded by it times
-    ``max(1, ‖m‖)``, because its target is ``m`` itself.  Residuals against
-    targets of fixed scale stay absolute, because rescaling the input
-    cannot rescale the target: the identity in ``check_tp``, the unit norm
-    of a joint state, Kraus completeness and unitarity
-    (:func:`isometry_residual`), and the sampled identities of normalized maps.
+    of the same spectrum, so it is scale invariant.  Every residual verdict
+    is :meth:`passes` and every residual precondition :meth:`require`.  A
+    Hermiticity residual's scale is ``‖m‖``, because its target is ``m``
+    itself.  Residuals against targets of fixed scale keep scale 1, because
+    rescaling the input cannot rescale the target: the identity in
+    ``check_tp``, the unit norm of a joint state, Kraus completeness and
+    unitarity (:func:`isometry_residual`), and the sampled identities.
     """
 
     zero_eig_rel: float = 1e-10
@@ -37,6 +37,15 @@ class ToleranceConfig:
             raise ValueError(f"zero_eig_rel must be in (0, 1), got {self.zero_eig_rel}")
         if not 0.0 < self.residual_abs < 1.0:
             raise ValueError(f"residual_abs must be in (0, 1), got {self.residual_abs}")
+
+    def passes(self, residual: float, scale: float = 1.0) -> bool:
+        """The residual rule: finite and at most ``residual_abs * max(1, scale)``."""
+        return math.isfinite(residual) and bool(residual <= self.residual_abs * max(1.0, scale))
+
+    def require(self, error: type, what: str, residual: float, scale: float = 1.0):
+        """Raise ``error("<what> residual <x> exceeds tolerance")`` unless it :meth:`passes`."""
+        if not self.passes(residual, scale):
+            raise error(f"{what} residual {residual:.3e} exceeds tolerance")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -64,18 +73,24 @@ def as_complex_matrix(m) -> np.ndarray:
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a norm below it had subnormal squares
 
 
+def _unit_power(a: np.ndarray) -> float:
+    """An exact power of two (a float even where its inverse is not) that
+    scales the largest real or imaginary part of finite ``a`` into [2**-51, 1)."""
+    scale = max(float(np.abs(a.real).max(initial=0.0)), float(np.abs(a.imag).max(initial=0.0)))
+    return math.ldexp(1.0, -max(math.frexp(scale)[1], -1023))
+
+
 def frob(m) -> float:
-    """Frobenius norm; finite and nonzero for finite, nonzero entries.  A sum
-    of squares that overflows, or underflows below the smallest normal float,
-    is taken again on the entries scaled by the largest; other inputs keep
-    the plain ``np.linalg.norm`` exactly."""
+    """Frobenius norm; finite and nonzero for finite, nonzero entries with a
+    finite norm.  A sum of squares that overflows, or underflows below the
+    smallest normal float, is taken again on the entries scaled exactly by
+    :func:`_unit_power`; other inputs keep the plain ``np.linalg.norm``."""
     a = np.asarray(m)
     with np.errstate(over="ignore", under="ignore"):
         value = float(np.linalg.norm(a))
-    if not _SQRT_TINY <= value < math.inf and np.isfinite(a).all():
-        scale = max(float(np.abs(a.real).max(initial=0.0)), float(np.abs(a.imag).max(initial=0.0)))
-        if scale:
-            value = scale * float(np.linalg.norm(a / scale))
+        if not _SQRT_TINY <= value < math.inf and np.isfinite(a).all():
+            power = _unit_power(a)
+            value = float(np.linalg.norm(a * power)) / power
     return value
 
 
@@ -87,7 +102,8 @@ def max_frob(stack) -> float:
 
 def hermiticity_residual(m: np.ndarray) -> float:
     d = np.conjugate(m).T  # always a new array (``m.conj()`` is ``m`` when real)
-    np.subtract(m, d, out=d)
+    with np.errstate(over="ignore"):  # a difference too large for a float is inf
+        np.subtract(m, d, out=d)
     return frob(d)
 
 
@@ -100,13 +116,6 @@ def isometry_residual(a: np.ndarray) -> float:
     gram.reshape(-1)[:: len(gram) + 1] -= 1.0
     value = frob(gram)
     return math.inf if math.isnan(value) else value  # an overflowed product holds nan
-
-
-def hermiticity_check(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:
-    """``(ok, residual)``: the Hermiticity residual of ``m`` against
-    ``residual_abs`` scaled by ``max(1, ‖m‖)``."""
-    residual = hermiticity_residual(m)
-    return residual <= tol.residual_abs * max(1.0, frob(m)), residual
 
 
 def partial_trace(m, dims: tuple[int, int], which: str) -> np.ndarray:

@@ -20,6 +20,8 @@ is related to the Choi form by the index reshuffle ``a_form``/``from_a_form``,
 which is an exact involutive permutation of entries.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DimensionMismatch, NonHermitianChoi, NotTracePreserving
@@ -30,7 +32,7 @@ from .linalg import (
     as_complex_stack,
     frob,
     gram_eigensystem,
-    hermiticity_check,
+    hermiticity_residual,
     zero_cut,
 )
 
@@ -51,10 +53,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class LinearMap:
     """A linear map on ``dim x dim`` matrices, stored as its Choi matrix.
 
-    ``check_tp`` and ``check_hermiticity_preserving`` compute their verdicts
-    on demand and cache them per tolerance configuration; ``check_cp`` reads
-    the Choi spectrum, solved once, on first use, and only as far as it is
-    read (``eigenvalues`` or ``eigensystem``).
+    A map caches measurements, never verdicts: ``_hermiticity``,
+    ``_tp_residual`` and the Choi spectrum are computed once, on first use,
+    the spectrum only as far as it is read (``eigenvalues`` or
+    ``eigensystem``), and each ``check_*`` judges one under its tolerance.
     ``choi`` is read-only and kept by :func:`_frozen`, so no cache can go
     stale; :func:`kraus_to_map`, :func:`from_a_form` and the document parser
     hand over the matrix they built uncopied.  ``kraus`` is the
@@ -73,15 +75,12 @@ class LinearMap:
             raise DimensionMismatch(f"Choi side {side} is not a perfect square")
         self.dim = dim
         self.choi = choi
-        self._verdicts = {}
         self.kraus = kraus
-        self._eigenvalues = None
-        self._eigensystem = None
 
     def _gram_route(self) -> bool:  # only then is the Gram matrix smaller than choi
         return self.kraus is not None and len(self.kraus) < len(self.choi)
 
-    @property
+    @cached_property
     def eigensystem(self):
         """``(values, vectors)`` of the Choi matrix, both read-only: all
         ``dim**2`` eigenvalues descending, and as contiguous columns (the
@@ -96,35 +95,46 @@ class LinearMap:
         callers that need a meaningful spectrum check Hermiticity
         preservation first.
         """
-        if self._eigensystem is None:
-            if not self._gram_route():
-                values, vectors = np.linalg.eigh(self.choi)
-                # one copy makes each column contiguous; eigh's array is freed
-                values, vectors = values[::-1], np.ascontiguousarray(vectors[:, ::-1].T).T
-            else:  # the Choi matrix is sum_i v_i v_i^dag over v_i = sqrt(w_i) vec(M_i)
-                rows = self.kraus.folded_operators().reshape(-1, len(self.choi))
-                values, vectors = gram_eigensystem(rows)
-            values.flags.writeable = vectors.flags.writeable = vectors.base.flags.writeable = False
-            self._eigensystem = (values, vectors)
-        return self._eigensystem
+        if not self._gram_route():
+            values, vectors = np.linalg.eigh(self.choi)
+            # one copy makes each column contiguous; eigh's array is freed
+            values, vectors = values[::-1], np.ascontiguousarray(vectors[:, ::-1].T).T
+        else:  # the Choi matrix is sum_i v_i v_i^dag over v_i = sqrt(w_i) vec(M_i)
+            rows = self.kraus.folded_operators().reshape(-1, len(self.choi))
+            values, vectors = gram_eigensystem(rows)
+        values.flags.writeable = vectors.flags.writeable = vectors.base.flags.writeable = False
+        return values, vectors
 
     @property
     def eigenvalues(self):
         """The eigensystem's values once it is cached (or cheap: the Gram
         route), else one ``eigvalsh`` without eigenvectors, cached;
         descending and read-only."""
-        if self._eigensystem is None and not self._gram_route():
-            if self._eigenvalues is None:
-                self._eigenvalues = np.linalg.eigvalsh(self.choi)[::-1]
-                self._eigenvalues.flags.writeable = False
-            return self._eigenvalues
-        return self.eigensystem[0]
+        if "eigensystem" in vars(self) or self._gram_route():
+            return self.eigensystem[0]
+        return self._eigvalsh
+
+    @cached_property
+    def _eigvalsh(self):
+        values = np.linalg.eigvalsh(self.choi)[::-1]
+        values.flags.writeable = False
+        return values
 
     @property
     def choi4(self) -> np.ndarray:
         """Choi entries as a 4-tensor indexed ``[out_row, in_row, out_col, in_col]``."""
         n = self.dim
         return self.choi.reshape(n, n, n, n)
+
+    @cached_property
+    def _hermiticity(self) -> tuple[float, float]:
+        """``(‖B - B^dag‖_F, ‖B‖_F)`` of the Choi matrix ``B``."""
+        return hermiticity_residual(self.choi), frob(self.choi)
+
+    @cached_property
+    def _tp_residual(self) -> float:
+        """``‖Tr_out B - 1‖_F``, from ``choi4`` with no second validation."""
+        return frob(np.einsum("aiaj->ij", self.choi4) - np.eye(self.dim))
 
     def __repr__(self):
         return f"LinearMap(dim={self.dim})"
@@ -260,18 +270,14 @@ def sign_split(values, vectors, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
 
 def require_hermiticity_preserving(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     """Raise :class:`NonHermitianChoi` unless the Choi matrix is Hermitian."""
-    ok, res = check_hermiticity_preserving(m, tol)
-    if not ok:
-        raise NonHermitianChoi(f"Choi Hermiticity residual {res:.3e} exceeds tolerance")
+    tol.require(NonHermitianChoi, "Choi Hermiticity", *m._hermiticity)
 
 
 def require_tp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     """Raise :class:`NonHermitianChoi` unless the map preserves Hermiticity,
     then :class:`NotTracePreserving` unless it preserves the trace."""
     require_hermiticity_preserving(m, tol)
-    ok, res = check_tp(m, tol)
-    if not ok:
-        raise NotTracePreserving(f"trace-preservation residual {res:.3e} exceeds tolerance")
+    tol.require(NotTracePreserving, "trace-preservation", m._tp_residual)
 
 
 def map_to_kraus(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
@@ -292,21 +298,13 @@ def choi_eigenvalues(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
 def check_tp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     """Trace preservation: partial trace of the Choi matrix over the output
     index must equal the identity.  Returns ``(verdict, residual)``."""
-    key = ("tp", tol)
-    if key not in m._verdicts:
-        traced = np.einsum("aiaj->ij", m.choi4)  # partial_trace, without re-validating
-        residual = frob(traced - np.eye(m.dim))
-        m._verdicts[key] = (residual <= tol.residual_abs, residual)
-    return m._verdicts[key]
+    return tol.passes(m._tp_residual), m._tp_residual
 
 
 def check_hermiticity_preserving(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     """Hermiticity preservation: the Choi matrix must be Hermitian.
     Returns ``(verdict, residual)``; the bound scales with the Choi norm."""
-    key = ("hp", tol)
-    if key not in m._verdicts:
-        m._verdicts[key] = hermiticity_check(m.choi, tol)
-    return m._verdicts[key]
+    return tol.passes(*m._hermiticity), m._hermiticity[0]
 
 
 def check_cp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):

@@ -410,6 +410,24 @@ def test_stdin_input(capsys, monkeypatch):
     assert rep["map"]["is_cp"] is True
 
 
+class _FailingStdin:
+    class buffer:  # noqa: N801 - stands in for the ``sys.stdin.buffer`` attribute
+        @staticmethod
+        def read():
+            raise OSError(5, "Input/output error")
+
+
+@pytest.mark.parametrize("stdin,reason", [
+    (None, "stdin is closed"),  # ``sys.stdin`` of a process started with stdin closed
+    (_FailingStdin(), "[Errno 5] Input/output error"),
+], ids=["closed", "read_error"])
+def test_unreadable_stdin_is_invalid_input(capsys, monkeypatch, stdin, reason):
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, "decompose", "-")
+    assert code == 1 and out == ""
+    assert err == f"error: invalid input: $: cannot read stdin: {reason}\n"
+
+
 def test_console_entry_point_subprocess():
     # byte-level determinism through the real process boundary
     cmd = [sys.executable, "-m", "dynamap", "decompose", fix("transpose_choi.json")]
@@ -532,6 +550,37 @@ def test_oversized_or_deep_json_is_invalid_input(capsys, tmp_path, document, pat
     _assert_clean_usage_error(code, err)
     assert err.startswith(f"error: invalid input: {path}: ")
     assert out == ""
+
+
+def _identity_choi_with(entries):
+    """The N=2 identity-map Choi document, ``vec(1) vec(1)^dag``, with the
+    given ``{(row, col): value}`` entries set."""
+    choi = np.zeros((4, 4))
+    choi[np.ix_([0, 3], [0, 3])] = 1.0
+    for (i, j), value in entries.items():
+        choi[i, j] = value
+    return {"kind": "choi", "dim": 2, "data": [[[v, 0.0] for v in row] for row in choi.tolist()]}
+
+
+_NON_HERMITIAN = {
+    "plain": ({(0, 2): 0.5}, "7.071e-01"),
+    # outside what the output trace reads, so only the Hermiticity check can
+    # refuse it; its residual overflows to inf, as does its norm
+    "overflowing": ({(0, 2): 1.5e308, (2, 0): -1.5e308}, "inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_HERMITIAN))
+@pytest.mark.parametrize("command", ["decompose", "verify", "dilate"])
+def test_non_hermitian_choi_is_a_precondition_failure(capsys, tmp_path, command, case):
+    entries, residual = _NON_HERMITIAN[case]
+    path = _write_doc(tmp_path, _identity_choi_with(entries))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, command, path)
+    assert not caught and code == 2 and out == ""
+    assert err == ("error: numerical precondition failure: "
+                   f"Choi Hermiticity residual {residual} exceeds tolerance\n")
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify", "dilate"])
@@ -657,20 +706,28 @@ def _scaled(node, scale):
     return node * scale
 
 
+_DIM1_CHOI = "identity_choi_dim1.json"  # no file: the 1 x 1 Choi matrix [[1]]
+
 _MAGNITUDES = [
     *((name, "data", scale) for name in ("transpose_choi.json", "ncp_family_05_choi.json",
                                          "amplitude_damping_kraus.json")
       for scale in (1e300, 1e-300)),
-    *(("bell_cnot_joint.json", "state", scale) for scale in (2.0 ** -60, 2.0 ** 600, 2.0 ** -600)),
+    *(("bell_cnot_joint.json", "state", scale)
+      for scale in (2.0 ** -60, 2.0 ** 600, 2.0 ** -600, 1e-310)),
     *(("bell_cnot_joint.json", "unitary", scale) for scale in (1e200, 1e300)),
+    (_DIM1_CHOI, "data", 1e-320),
 ]
 
 
 @pytest.mark.parametrize("fixture,key,scale", _MAGNITUDES)
 def test_scaled_documents_end_in_an_exit_code(tmp_path, fixture, key, scale):
-    # every command on documents scaled toward the ends of the float range
+    # every command on documents scaled toward the ends of the float range,
+    # subnormal entries included
     fixture_reports = _fixture_reports()
-    doc = json.loads((FIXTURES / fixture).read_bytes())
+    if fixture == _DIM1_CHOI:
+        doc = {"kind": "choi", "dim": 1, "data": [[[1.0, 0.0]]]}
+    else:
+        doc = json.loads((FIXTURES / fixture).read_bytes())
     if key == "unitary":  # a finite joint matrix that is not unitary
         doc["data"]["unitary"] = [[[scale * (i == j), 0.0] for j in range(4)] for i in range(4)]
     elif key == "state":
@@ -684,6 +741,7 @@ def test_scaled_documents_end_in_an_exit_code(tmp_path, fixture, key, scale):
         runs = {name: fixture_reports.run([args[0], str(path), *args[1:]])
                 for name, args in fixture_reports.COMMANDS.items()}
     assert not caught and {code for code, _, _ in runs.values()} <= {0, 1, 2, 3}
+    assert not any("Warning" in err for _, _, err in runs.values())
     if key == "unitary":
         assert runs["extract"][0] == 2 and runs["extract"][2].count("\n") == 1
         assert "unitarity residual inf exceeds" in runs["extract"][2]  # not nan

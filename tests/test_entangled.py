@@ -32,6 +32,8 @@ from dynamap.maps import (
 def test_joint_pure_state_validation():
     with pytest.raises(ValueError):
         JointPureState((2, 2), np.array([1.0, 0, 0, 1.0]))  # norm sqrt(2)
+    with pytest.raises(ValueError):
+        JointPureState((2, 2), [np.nan] * 4)  # its norm is NaN, which no bound passes
     with pytest.raises(DimensionMismatch):
         JointPureState((2, 3), np.array([1.0, 0, 0, 0]))
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynamap.cpsplit import split_from_eigensystem
-from dynamap.errors import DimensionMismatch, NonHermitianChoi
+from dynamap.errors import DimensionMismatch, NonHermitianChoi, NotUnitary
 from dynamap.generators import random_tp_map, random_tp_map_with_kernel
 from dynamap.linalg import (
     ToleranceConfig,
@@ -64,6 +64,38 @@ def test_tolerance_config_validation():
     cfg = ToleranceConfig()
     assert cfg.zero_eig_rel == 1e-10
     assert cfg.residual_abs == 1e-9
+
+
+_AT = 1e-9  # the default residual_abs
+_ABOVE = float(np.nextafter(_AT, 1.0))
+
+
+@pytest.mark.parametrize("residual,scale,passes", [
+    (0.0, 1.0, True),
+    (_AT, 1.0, True),  # exactly at the bound
+    (_ABOVE, 1.0, False),
+    (_AT, 0.25, True),  # a scale below 1 does not tighten the bound
+    (_ABOVE, 0.25, False),
+    (2 * _AT, 2.0, True),  # a scale above 1 widens it
+    (float(np.nextafter(2 * _AT, 1.0)), 2.0, False),
+    (1e300, np.inf, True),  # any finite residual is inside an infinite bound
+    (np.nan, 1.0, False),
+    (np.nan, np.inf, False),
+    (np.inf, 1.0, False),
+    (np.inf, np.inf, False),  # ``inf <= 1e-9 * inf`` would be true
+    (-np.inf, 1.0, False),
+])
+def test_residual_rule_at_its_edges(residual, scale, passes):
+    tol = ToleranceConfig()
+    assert tol.passes(residual, scale) is passes
+    if scale == 1.0:
+        assert tol.passes(residual) is passes  # the default scale
+    if passes:
+        tol.require(NotUnitary, "unitarity", residual, scale)
+    else:
+        with pytest.raises(NotUnitary) as info:
+            tol.require(NotUnitary, "unitarity", residual, scale)
+        assert str(info.value) == f"unitarity residual {residual:.3e} exceeds tolerance"
 
 
 # Hermitian eigendecomposition: the cached ``LinearMap.eigensystem``
@@ -241,6 +273,16 @@ def test_frob_of_finite_entries_too_large_to_square_is_finite():
         assert worst == max(norms)
     assert frob(np.array([[np.inf, 0.0]])) == np.inf
     assert max_frob(np.full((1, 2, 2), 1e308)) == np.inf
+
+
+@pytest.mark.parametrize("entry", [1e-310, 1e-320, 5e-324, 1e-310j, -3e-315 + 4e-315j])
+def test_frob_of_subnormal_entries_is_their_exact_magnitude(entry):
+    with np.errstate(all="raise"):  # the rescale divides nothing
+        assert frob(np.array([entry, 0.0])) == abs(entry)
+        assert frob(np.array([[entry]], dtype=complex)) == abs(entry)
+    stack = np.random.default_rng(2).standard_normal((3, 3))
+    tiny = 2.0 ** -1040  # every entry subnormal, none zero
+    assert frob(stack * tiny) == pytest.approx(frob(stack) * tiny, rel=1e-9)
 
 
 def test_hermiticity_residual_is_the_plain_difference_with_one_temporary():

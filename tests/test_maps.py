@@ -18,13 +18,15 @@ from dynamap.errors import DimensionMismatch, NonHermitianChoi
 from dynamap.channels import amplitude_damping_kraus
 from dynamap.docio import parse_document
 from dynamap.generators import random_cptp_kraus, random_density_matrix, random_tp_map
-from dynamap.linalg import zero_cut
+from dynamap import linalg, maps
+from dynamap.linalg import ToleranceConfig, zero_cut
 from dynamap.maps import (
     KrausSet,
     LinearMap,
     a_form,
     apply_map,
     check_cp,
+    check_hermiticity_preserving,
     check_tp,
     choi_eigenvalues,
     from_a_form,
@@ -181,6 +183,28 @@ def test_check_tp():
     ok, res = check_tp(doubled)
     assert not ok
     assert abs(res - np.sqrt(2.0)) < 1e-12  # ||I||_F for a doubled Choi
+
+
+def test_map_caches_measurements_and_each_tolerance_judges_them(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return linalg.hermiticity_residual(a)
+
+    monkeypatch.setattr(maps, "hermiticity_residual", counted)
+    choi = identity_map(2).choi.copy()
+    choi[0, 1] += 1e-6  # read by the output trace, and not mirrored below the diagonal
+    m = LinearMap(choi)
+    loose, tight = ToleranceConfig(residual_abs=1e-3), ToleranceConfig(residual_abs=1e-9)
+    # B - B^dag holds the entry twice, with opposite signs
+    for check, residual in ((check_tp, 1e-6), (check_hermiticity_preserving, np.sqrt(2) * 1e-6)):
+        (loose_ok, loose_res), (tight_ok, tight_res) = check(m, loose), check(m, tight)
+        assert loose_ok and not tight_ok
+        assert loose_res == tight_res and abs(loose_res - residual) < 1e-12
+    assert check_tp(m) == (False, m._tp_residual)
+    assert check_hermiticity_preserving(m) == (False, m._hermiticity[0])
+    assert calls == [(4, 4)]  # measured once, judged under three tolerances
 
 
 def test_check_cp():
