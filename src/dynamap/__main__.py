@@ -34,7 +34,8 @@ def main() -> int:
     finally:
         gc.freeze()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None: the process was started with stdout closed
+            sys.stdout.flush()
     except OSError:  # the failed write is already reported
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code

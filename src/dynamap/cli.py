@@ -12,8 +12,9 @@ stdout, diagnostics to stderr.  A report is written while it is formatted,
 one matrix row at a time, so its text is never held whole in memory; it is
 checked in full before the first byte, so stdout holds the complete report
 or, when it cannot be serialized, nothing.  A write that stdout refuses (a
-closed pipe, a full disk) ends in one ``error: cannot write report:`` line
-and exit code 1.
+closed stdout or pipe, a full disk) ends in one ``error: cannot write
+report:`` line and exit code 1.  A closed or failing stderr drops the
+diagnostic line and keeps the exit code.
 
 The ``dimensions``, ``annihilation``, ``trace_functionals`` and
 ``sector_maps.<variant>`` report sections are the library result
@@ -42,8 +43,7 @@ EXIT_VERIFICATION = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # usage errors count as invalid input, not precondition failures
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        _say(f"{self.format_usage()}error: {message}")
         raise SystemExit(EXIT_INVALID_INPUT)
 
     def _print_message(self, message, file=None):
@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         if file is not sys.stdout:
             return super()._print_message(message, file)
         try:
-            file.write(message)
+            _stdout().write(message)
         except OSError as exc:
             raise _WriteFailed(exc) from None
 
@@ -195,11 +195,29 @@ class _WriteFailed(Exception):
     """stdout refused part of a report."""
 
 
+def _stdout():
+    """``sys.stdout``, or :class:`_WriteFailed` when it is ``None`` (stdout closed at start)."""
+    if sys.stdout is None:
+        raise _WriteFailed("stdout is closed")
+    return sys.stdout
+
+
 def _flush_stdout():
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # a closed stdout holds nothing to lose
+            sys.stdout.flush()
     except OSError as exc:
         raise _WriteFailed(exc) from None
+
+
+def _say(line: str):
+    """Write one diagnostic line to stderr.  A closed stderr (``None``) or
+    a refused write drops the line, so the exit code it explains stands."""
+    try:
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _emit(report: dict, fmt: str):
@@ -207,7 +225,7 @@ def _emit(report: dict, fmt: str):
     :class:`_WriteFailed`."""
     from .docio import canonical_json, canonical_text
 
-    write = sys.stdout.write
+    write = _stdout().write
     try:
         if fmt == "json":
             canonical_json(report, write)
@@ -242,8 +260,8 @@ def cmd_verify(args) -> int:
     }
     _emit(report, args.format)
     if not passed:
-        print(f"error: reconstruction residual {worst:.3e} exceeds tolerance "
-              f"{tol.residual_abs:.3e}", file=sys.stderr)
+        _say(f"error: reconstruction residual {worst:.3e} exceeds tolerance "
+             f"{tol.residual_abs:.3e}")
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -279,8 +297,8 @@ def cmd_dilate(args) -> int:
     }
     _emit(report, args.format)
     if not trip.passed:
-        print(f"error: dilation round-trip residual {trip.max_residual:.3e} exceeds "
-              f"tolerance {tol.residual_abs:.3e}", file=sys.stderr)
+        _say(f"error: dilation round-trip residual {trip.max_residual:.3e} exceeds "
+             f"tolerance {tol.residual_abs:.3e}")
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -351,11 +369,11 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
         return args.func(args)
     except DocumentError as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
+        _say(f"error: invalid input: {exc}")
         return EXIT_INVALID_INPUT
     except DynamapError as exc:
-        print(f"error: numerical precondition failure: {exc}", file=sys.stderr)
+        _say(f"error: numerical precondition failure: {exc}")
         return EXIT_PRECONDITION
     except _WriteFailed as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        _say(f"error: cannot write report: {exc}")
         return EXIT_INVALID_INPUT

@@ -42,7 +42,7 @@ import numpy as np
 from .cpsplit import CPSplit
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, ToleranceConfig, frob, hermiticity_residual, max_frob
-from .maps import KrausSet, LinearMap, apply_map, as_states
+from .maps import LinearMap, apply_map, as_states
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,25 +155,6 @@ def _sector_choi(part: LinearMap, left: np.ndarray, right: np.ndarray) -> np.nda
     return choi.reshape(n * n, n * n)
 
 
-def _gram_min_eig(kraus: KrausSet, root: np.ndarray) -> float:
-    """Minimum eigenvalue of the Choi matrix ``W W^dag`` of
-    ``X -> sum_i w_i (M_i root) X (M_i root)^dag``.
-
-    The columns of W are ``sqrt(w_i) vec(M_i root)``; the l x l Gram matrix
-    ``W^dag W`` has the same nonzero spectrum, and the N^2 - l eigenvalues
-    it lacks are zero.  It is summed over the N row blocks of W, the
-    ``(l, N)`` matrices ``B_a = sqrt(w) (M[:, a, :] @ root)``, so no
-    ``(l, N^2)`` stack is held.
-    """
-    ops, scale = kraus.operators, np.sqrt(kraus.weights)[:, None]
-    gram = np.zeros((len(ops), len(ops)), dtype=complex)
-    for a in range(kraus.dim):
-        block = scale * (ops[:, a, :] @ root)
-        gram += block.conj() @ block.T
-    eigs = np.linalg.eigvalsh(gram)
-    return float(eigs[0] if len(eigs) == kraus.dim ** 2 else min(eigs[0], 0.0))
-
-
 @dataclass(frozen=True)
 class SectorChoiReport:
     """Hermiticity residual and minimum eigenvalue of the sector-map Choi
@@ -185,9 +166,9 @@ class SectorChoiReport:
     matrix is the direct sum of the sector Choi matrices padded with zeros,
     so they follow from the sector statistics without building it.
 
-    In the ``symmetric`` variant the minima come from the l x l Gram matrix
-    of the sector's l Kraus operators, so they are exactly 0.0 when
-    l < N^2.  The fields are a ``sector_maps.<variant>`` report section."""
+    A ``symmetric`` sector with l < N^2 Kraus operators is CP with a Choi
+    matrix of rank at most l, so its minimum is exactly 0.0 with no solve.
+    The fields are a ``sector_maps.<variant>`` report section."""
 
     plus_hermiticity_residual: float
     plus_min_eig: float | None
@@ -198,14 +179,11 @@ class SectorChoiReport:
     full_min_eig: float | None
 
 
-def _sector_min_eig(variant: str, sector) -> float:
-    """Minimum eigenvalue of a sector's Choi matrix; ``sector`` is
-    ``(part, (left, right))``."""
-    part, (left, right) = sector
-    if variant == "symmetric":
-        # a sector evolves by the Kraus operators L_i @ root, so its Choi is
-        # W W^dag and the small Gram matrix W^dag W carries its spectrum
-        return _gram_min_eig(part.kraus, left)
+def _sector_min_eig(variant: str, part: LinearMap, left: np.ndarray, right: np.ndarray) -> float:
+    """Minimum eigenvalue of the Choi matrix of ``X -> part(left @ X @ right)``."""
+    if variant == "symmetric" and len(part.kraus) < part.dim ** 2:
+        # a sum of one PSD rank-one term per operator M_i @ root: rank < N^2
+        return 0.0
     return float(np.linalg.eigh(_sector_choi(part, left, right))[0][0])
 
 
@@ -216,7 +194,9 @@ def sector_choi_report(
 
     One sector's Choi matrix is alive at a time: each is built for its
     Hermiticity residual and norm, freed, and built again for its spectrum
-    when one is wanted (an N^5 product beside the N^6 eigensolver).
+    when one is wanted (an N^5 product beside the N^6 eigensolver).  The
+    spectrum is solved for every ``literal`` sector and for a ``symmetric``
+    sector only at full Kraus rank l = N^2; below it the minimum is 0.0.
     """
     sectors = list(zip(
         (split.positive_part, split.negative_part),
@@ -233,8 +213,8 @@ def sector_choi_report(
     full_ok = tol.passes(full_res, math.hypot(*norms))
     # the eigensolver reads one triangle, so a sector that fails its own
     # Hermiticity verdict still has a spectrum inside a Hermitian full Choi
-    min_eigs = [_sector_min_eig(variant, sector) if ok or full_ok else None
-                for ok, sector in zip(oks, sectors)]
+    min_eigs = [_sector_min_eig(variant, part, left, right) if ok or full_ok else None
+                for ok, (part, (left, right)) in zip(oks, sectors)]
     # two sectors leave zero rows and columns in the padded full Choi
     full_min = min(min_eigs + [0.0] * (len(sectors) - 1)) if full_ok else None
     stats = [(res, eig if ok else None) for ok, res, eig in zip(oks, residuals, min_eigs)]

@@ -428,6 +428,68 @@ def test_unreadable_stdin_is_invalid_input(capsys, monkeypatch, stdin, reason):
     assert err == f"error: invalid input: $: cannot read stdin: {reason}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["--help"],
+    ["decompose", fix("transpose_choi.json")],
+    ["decompose", fix("transpose_choi.json"), "--format", "text"],
+], ids=["version", "help", "json", "text"])
+def test_closed_stdout_is_a_failed_write(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", None)  # ``sys.stdout`` of a process started with it closed
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and err == "error: cannot write report: stdout is closed\n"
+
+
+def test_closed_stdout_leaves_a_usage_error_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    code, _, err = run_cli(capsys, "decompose", fix("transpose_choi.json"), "--seed", "-1")
+    assert code == 1 and err.startswith("usage: ")
+    assert err.endswith("\nerror: argument --seed: must be nonnegative, got -1\n")
+
+
+class _FailingStderr:
+    def write(self, _):
+        raise OSError(9, "Bad file descriptor")
+
+
+def _failed_round_trip(*args, **kwargs):
+    from dynamap.dilation import RoundTripReport
+
+    return RoundTripReport(max_residual=1.0, passed=False)
+
+
+@pytest.mark.parametrize("stderr", [None, _FailingStderr()], ids=["closed", "write_error"])
+@pytest.mark.parametrize("argv, want", [
+    (["decompose", fix("bad_dim.json")], 1),
+    (["decompose", fix("transpose_choi.json"), "--samples", "0"], 1),
+    (["decompose", fix("broken_tp_choi.json")], 2),
+    (["verify", fix("verify_fail_tight_tol.json")], 3),
+    (["dilate", fix("amplitude_damping_kraus.json")], 3),
+], ids=["invalid", "usage", "precondition", "verify", "dilate"])
+def test_unwritable_stderr_keeps_the_exit_code(capsys, monkeypatch, stderr, argv, want):
+    import dynamap.dilation
+
+    # no fixture fails its round trip; this one gives dilate its exit-3 line
+    monkeypatch.setattr(dynamap.dilation, "dilation_round_trip", _failed_round_trip)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(argv) == want
+    assert capsys.readouterr().out[:1] == ("{" if want == 3 else "")  # exit 3 follows a report
+
+
+@pytest.mark.parametrize("command, want", [
+    ("--version >&-", 1),
+    (f"decompose {fix('transpose_choi.json')} >&-", 1),
+    (f"decompose {fix('broken_tp_choi.json')} 2>&-", 2),
+    (f"verify {fix('verify_fail_tight_tol.json')} >/dev/null 2>&-", 3),
+], ids=["version", "report", "precondition", "verify"])
+def test_closed_stream_of_a_child_keeps_the_exit_code(command, want):
+    child = subprocess.run(["sh", "-c", f'"$0" -m dynamap {command}', sys.executable],
+                           stderr=subprocess.PIPE, text=True, timeout=60)
+    assert child.returncode == want
+    want_err = "" if command.endswith("2>&-") else "error: cannot write report: stdout is closed\n"
+    assert child.stderr == want_err
+
+
 def test_console_entry_point_subprocess():
     # byte-level determinism through the real process boundary
     cmd = [sys.executable, "-m", "dynamap", "decompose", fix("transpose_choi.json")]

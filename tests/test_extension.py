@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dynamap.channels import (
     SIGMA_Y,
     amplitude_damping_map,
+    depolarizing_map,
     identity_map,
     matrix_unit,
     ncp_family,
@@ -335,25 +338,66 @@ def test_sandwich_a_forms_match_the_kron_product(variant):
             assert np.abs(got - from_a_form(want).choi).max() <= 1e-14
 
 
-def test_symmetric_gram_minima_match_the_sector_choi_spectra():
-    seen_full_rank = False
-    for m in _sector_maps():
-        s = cp_split(m)
+_DIMS = st.integers(2, 5)
+_RNGS = st.integers(0, 2**32 - 1).map(np.random.default_rng)
+
+
+@given(st.one_of(
+    st.tuples(st.builds(random_tp_map, _DIMS, _RNGS), st.just(False)),
+    st.tuples(st.builds(random_tp_map_with_kernel, _DIMS, _RNGS), st.just(False)),
+    st.tuples(st.builds(depolarizing_map, st.floats(0.05, 1.0), _DIMS), st.just(True)),
+))
+def test_symmetric_sector_minima_match_the_sector_choi_spectra(drawn):
+    m, full_rank = drawn
+    s = cp_split(m)
+    rep = sector_choi_report(s, "symmetric")
+    reported = (rep.plus_min_eig, rep.minus_min_eig)
+    kraus_sets = (s.positive_part.kraus, s.negative_part.kraus)
+    if full_rank:  # a depolarizing map: one CP sector at full Kraus rank
+        assert len(kraus_sets[0]) == s.dim ** 2 and not len(kraus_sets[1])
+    for a, kraus, got in zip(_kron_a_forms(s, "symmetric"), kraus_sets, reported):
+        if not len(kraus):
+            assert got is None
+            continue
+        want = np.linalg.eigvalsh(from_a_form(a).choi)[0]
+        assert abs(got - want) <= 1e-12
+        if len(kraus) < s.dim ** 2:
+            assert got == 0.0  # the zeros of a rank-deficient Choi matrix, not solved
+        else:  # a solved eigenvalue, not the rank-deficient zero
+            assert got > (1e-3 if full_rank else 0.0)
+
+
+class _Solved(Exception):
+    """An eigensolver was called."""
+
+
+def _refuse(a, *args, **kwargs):
+    raise _Solved(np.shape(a))
+
+
+def test_symmetric_sectors_below_full_rank_run_no_eigensolver(monkeypatch):
+    from dynamap.extension import _sector_factors
+
+    rng = np.random.default_rng(15)
+    rank_deficient = [cp_split(random_tp_map(16, rng)),
+                      cp_split(random_tp_map_with_kernel(16, rng))]
+    full_rank = cp_split(kraus_to_map(random_cptp_kraus(3, 9, rng)))
+    literal = cp_split(transpose_map(3))  # scalar functionals: Hermitian literal sectors
+    for s in rank_deficient + [full_rank]:
+        _sector_factors(s, "symmetric", inverse=True)  # solve and cache the N x N roots first
+    _sector_factors(literal, "literal", inverse=True)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+    for s in rank_deficient:
+        assert s.has_negative_part and len(s.positive_part.kraus) < s.dim ** 2
         rep = sector_choi_report(s, "symmetric")
-        reported = (rep.plus_min_eig, rep.minus_min_eig)
-        for a, kraus, got in zip(_kron_a_forms(s, "symmetric"),
-                                 (s.positive_part.kraus, s.negative_part.kraus), reported):
-            if not len(kraus):
-                assert got is None
-                continue
-            want = np.linalg.eigvalsh(from_a_form(a).choi)[0]
-            assert abs(got - want) <= 1e-12
-            if len(kraus) < s.dim ** 2:
-                assert got == 0.0  # the zeros the Gram matrix lacks
-            else:
-                seen_full_rank = True
-                assert got > 1e-3  # a Gram eigenvalue, not the padded zero
-    assert seen_full_rank
+        assert rep.plus_min_eig == rep.minus_min_eig == rep.full_min_eig == 0.0
+    assert len(full_rank.positive_part.kraus) == 9
+    with pytest.raises(_Solved, match=r"\(9, 9\)"):
+        sector_choi_report(full_rank, "symmetric")
+    assert literal.has_negative_part
+    with pytest.raises(_Solved, match=r"\(9, 9\)"):
+        sector_choi_report(literal, "literal")
 
 
 @pytest.mark.parametrize("variant", ["literal", "symmetric"])
@@ -372,21 +416,3 @@ def test_sector_choi_report_holds_one_sector_at_a_time(variant):
         # one sector's Choi matrix and the one temporary of its Hermiticity
         # residual; both sectors' matrices at once peaked at 5
         assert peak < 3.5 * unit
-
-
-def test_symmetric_gram_holds_no_operator_stack():
-    from dynamap.extension import _gram_min_eig, _sector_factors
-
-    s = cp_split(random_tp_map_with_kernel(16, np.random.default_rng(15)))
-    kraus, (root, _) = s.positive_part.kraus, _sector_factors(s, "symmetric", inverse=True)[0]
-    assert len(kraus) > 4 * s.dim  # a (k, N) row block is small beside k x k
-    unit = len(kraus) ** 2 * 16  # one complex k x k matrix
-    tracemalloc.start()
-    try:
-        _gram_min_eig(kraus, root)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the Gram matrix and one block product; the (k, N^2) stack of M_i root
-    # with its weighted and conjugate copies peaked at about 3
-    assert peak < 2.5 * unit
