@@ -107,13 +107,12 @@ def _resolve(args, joint=False):
 
     doc = parse_document(_read_input(args.file))
     tol = doc.tol
-    try:
-        if args.tol_eig is not None:
-            tol = replace(tol, zero_eig_rel=args.tol_eig)
-        if args.tol_residual is not None:
-            tol = replace(tol, residual_abs=args.tol_residual)
-    except ValueError as exc:
-        raise DocumentError("$.tolerances", str(exc)) from None
+    for flag, field, value in (("--tol-eig", "zero_eig_rel", args.tol_eig),
+                               ("--tol-residual", "residual_abs", args.tol_residual)):
+        try:
+            tol = tol if value is None else replace(tol, **{field: value})
+        except ValueError as exc:  # the flag, not the document, holds the bad value
+            raise DocumentError(flag, str(exc)) from None
     if joint and doc.state is None:
         raise DocumentError("$.kind", f"{args.command} expects a joint_dynamics document")
     if not joint and doc.linear_map is None:
@@ -158,7 +157,7 @@ def _base_report(doc, tol, seed, args) -> dict:
 
 def _decomposition_report(args):
     """Resolve a map document, split it and build the ``decompose`` report;
-    returns ``(report, split, tol, seed)``."""
+    returns ``(report, split, seed)``, every verdict under ``split.tol``."""
     doc, tol, seed = _resolve(args)
     from dataclasses import asdict
 
@@ -179,16 +178,14 @@ def _decomposition_report(args):
             "kernel_dim": split.kernel_basis.shape[1],
         },
         "dimensions": asdict(dimension_report(split)),
-        "annihilation": asdict(verify_annihilation(split, tol, samples=args.samples, seed=seed)),
-        "trace_functionals": asdict(
-            trace_functionals(split, samples=args.samples, seed=seed, tol=tol)
-        ),
+        "annihilation": asdict(verify_annihilation(split, samples=args.samples, seed=seed)),
+        "trace_functionals": asdict(trace_functionals(split, samples=args.samples, seed=seed)),
         "sector_maps": {
-            variant: asdict(sector_choi_report(split, variant, tol))
+            variant: asdict(sector_choi_report(split, variant))
             for variant in ("literal", "symmetric")
         },
     })
-    return report, split, tol, seed
+    return report, split, seed
 
 
 class _WriteFailed(Exception):
@@ -244,13 +241,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report, split, tol, seed = _decomposition_report(args)
+    report, split, seed = _decomposition_report(args)
     from .extension import reconstruct
     from .generators import random_density_matrix, seeded_stack
 
     states = seeded_stack(random_density_matrix, split.dim, args.samples, seed)
     worst = reconstruct(split, states, args.variant)[1]
-    passed = tol.passes(worst)
+    passed = split.tol.passes(worst)
     report["reconstruction"] = {
         "variant": args.variant,
         "samples": args.samples,
@@ -261,7 +258,7 @@ def cmd_verify(args) -> int:
     _emit(report, args.format)
     if not passed:
         _say(f"error: reconstruction residual {worst:.3e} exceeds tolerance "
-             f"{tol.residual_abs:.3e}")
+             f"{split.tol.residual_abs:.3e}")
         return EXIT_VERIFICATION
     return EXIT_OK
 

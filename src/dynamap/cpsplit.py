@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularJ
+from .errors import DimensionMismatch, SingularJ
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -59,6 +59,8 @@ class CPSplit:
     ``minus_pinv``.  ``plus_inv``, ``plus_sqrt`` and ``plus_inv_sqrt`` are
     the powers -1, 1/2 and -1/2 of ``plus_functional``, each computed once,
     on first use; they raise :class:`SingularJ` when it is singular.
+    Every verdict on a split (:func:`verify_annihilation`, :func:`trace_functionals`,
+    :func:`~dynamap.extension.sector_choi_report`) uses ``tol``, which made the split.
     """
 
     source: LinearMap
@@ -160,8 +162,9 @@ def split_from_eigensystem(
     can be exercised: any orthonormal basis of each degenerate eigenspace
     must lead to a split with identical action.
     """
-    n = m.dim
-    positive_part, negative_part = (kraus_to_map(k) for k in sign_split(values, vectors, n, tol))
+    if len(vectors) != m.dim ** 2:  # sign_split reads the operator side off this length
+        raise DimensionMismatch(f"eigenvector length {len(vectors)} does not match dim {m.dim}")
+    positive_part, negative_part = (kraus_to_map(k) for k in sign_split(values, vectors, tol))
     # Tr[part(X)] = Tr[F X] makes F the transposed output partial trace
     plus_functional, minus_functional = (
         np.einsum("aiaj->ij", part.choi4).T for part in (positive_part, negative_part)
@@ -192,15 +195,10 @@ def split_from_eigensystem(
     )
 
 
-def verify_annihilation(
-    split: CPSplit,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    samples: int = 20,
-    seed: int = 0,
-) -> AnnihilationReport:
+def verify_annihilation(split: CPSplit, samples: int = 20, seed: int = 0) -> AnnihilationReport:
     """Measure how exactly the negative part annihilates the kernel.
 
-    All four residual families must pass ``tol``; they are
+    All four residual families must pass ``split.tol``; they are
     vacuously zero when the kernel is empty (checks over empty index sets).
     """
     n, neg = split.dim, split.negative_part
@@ -224,16 +222,11 @@ def verify_annihilation(
         mechanism_residual=mechanism,
         support_restriction_residual=restriction,
         max_residual=worst,
-        passed=tol.passes(worst),
+        passed=split.tol.passes(worst),
     )
 
 
-def trace_functionals(
-    split: CPSplit,
-    samples: int = 20,
-    seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> TraceFunctionalReport:
+def trace_functionals(split: CPSplit, samples: int = 20, seed: int = 0) -> TraceFunctionalReport:
     """Measure the trace-functional identities on random matrices.
 
     Checks, for random ``X``: ``Tr[positive_part(X)] = Tr[plus_functional X]``
@@ -262,5 +255,5 @@ def trace_functionals(
         plus_inverse_residual=plus_inv_res,
         minus_support_residual=minus_sup_res,
         max_residual=worst,
-        passed=tol.passes(worst),
+        passed=split.tol.passes(worst),
     )

@@ -41,7 +41,7 @@ import numpy as np
 
 from .cpsplit import CPSplit
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, ToleranceConfig, frob, hermiticity_residual, max_frob
+from .linalg import ToleranceConfig, frob, hermiticity_residual, max_frob
 from .maps import LinearMap, apply_map, as_states
 
 
@@ -54,9 +54,9 @@ class ExtendedState:
     which case the extension needs no second label at all.
     """
 
-    dim: int
     plus_block: np.ndarray
     minus_block: np.ndarray | None
+    dim = property(lambda self: self.plus_block.shape[-1])
 
     @property
     def has_minus(self) -> bool:
@@ -107,7 +107,7 @@ def build_extension(split: CPSplit, rho, variant: str = "literal") -> ExtendedSt
     rho = as_states(rho, split.dim)
     (pl, pr), (ml, mr) = _sector_factors(split, variant, inverse=False)
     minus = -(ml @ rho @ mr) if split.has_negative_part else None
-    return ExtendedState(dim=split.dim, plus_block=pl @ rho @ pr, minus_block=minus)
+    return ExtendedState(plus_block=pl @ rho @ pr, minus_block=minus)
 
 
 def apply_sector_map(split: CPSplit, state: ExtendedState, variant: str = "literal") -> ExtendedState:
@@ -123,7 +123,7 @@ def apply_sector_map(split: CPSplit, state: ExtendedState, variant: str = "liter
     minus = None
     if state.has_minus:
         minus = apply_map(split.negative_part, ml @ state.minus_block @ mr)
-    return ExtendedState(dim=split.dim, plus_block=plus, minus_block=minus)
+    return ExtendedState(plus_block=plus, minus_block=minus)
 
 
 def reconstruct(split: CPSplit, rho, variant: str = "literal"):
@@ -188,9 +188,10 @@ def _sector_min_eig(variant: str, part: LinearMap, left: np.ndarray, right: np.n
 
 
 def sector_choi_report(
-    split: CPSplit, variant: str, tol: ToleranceConfig = DEFAULT_TOL
+    split: CPSplit, variant: str, tol: ToleranceConfig | None = None
 ) -> SectorChoiReport:
-    """Measure Hermiticity and positivity of the sector maps for a variant.
+    """Measure Hermiticity and positivity of the sector maps for a variant
+    under ``split.tol``; a ``tol`` other than ``split.tol`` raises ``ValueError``.
 
     One sector's Choi matrix is alive at a time: each is built for its
     Hermiticity residual and norm, freed, and built again for its spectrum
@@ -198,6 +199,8 @@ def sector_choi_report(
     spectrum is solved for every ``literal`` sector and for a ``symmetric``
     sector only at full Kraus rank l = N^2; below it the minimum is 0.0.
     """
+    if tol not in (None, split.tol):
+        raise ValueError("a split is judged under the tolerance that made it")
     sectors = list(zip(
         (split.positive_part, split.negative_part),
         _sector_factors(split, variant, inverse=True),
@@ -207,10 +210,10 @@ def sector_choi_report(
         choi = _sector_choi(part, left, right)
         measured.append((hermiticity_residual(choi), frob(choi)))
         del choi
-    oks = [tol.passes(res, norm) for res, norm in measured]
+    oks = [split.tol.passes(res, norm) for res, norm in measured]
     residuals, norms = zip(*measured)
     full_res = math.hypot(*residuals)
-    full_ok = tol.passes(full_res, math.hypot(*norms))
+    full_ok = split.tol.passes(full_res, math.hypot(*norms))
     # the eigensolver reads one triangle, so a sector that fails its own
     # Hermiticity verdict still has a spectrum inside a Hermitian full Choi
     min_eigs = [_sector_min_eig(variant, part, left, right) if ok or full_ok else None

@@ -243,13 +243,14 @@ def kraus_to_map(kraus: KrausSet) -> LinearMap:
     return LinearMap(choi, kraus)
 
 
-def sign_split(values, vectors, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
+def sign_split(values, vectors, tol: ToleranceConfig = DEFAULT_TOL):
     """Group a Choi eigensystem by sign into ``(positive, negative)`` Kraus sets.
 
     ``values`` must be sorted descending, as :attr:`LinearMap.eigensystem`
     gives them, so each group is a slice.  ``vectors`` holds the
-    eigenvectors of the leading values as columns; it may lack the columns
-    of trailing values that are exactly zero, as the Gram route of
+    eigenvectors of the leading values as columns of ``N^2`` rows (else
+    :class:`DimensionMismatch`); it may lack the columns of trailing
+    values that are exactly zero, as the Gram route of
     :attr:`LinearMap.eigensystem` does (any other shortfall leaves a group
     with fewer operators than weights, which :class:`KrausSet` refuses).
     Eigenvectors with eigenvalue above the zero cut become
@@ -260,6 +261,9 @@ def sign_split(values, vectors, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
     values = np.asarray(values, dtype=float)
     if np.any(values[1:] > values[:-1]):
         raise ValueError("eigenvalues must be sorted descending")
+    dim = round(len(vectors) ** 0.5)
+    if dim * dim != len(vectors):
+        raise DimensionMismatch(f"eigenvector length {len(vectors)} is not a perfect square")
     # a view of the columns when they are contiguous, as in LinearMap.eigensystem
     ops = np.asarray(vectors, dtype=complex).T.reshape(-1, dim, dim)
     cut = zero_cut(values, tol)
@@ -284,7 +288,7 @@ def map_to_kraus(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     """Canonical decomposition of a Hermiticity-preserving map: the
     :func:`sign_split` of its Choi eigensystem."""
     require_hermiticity_preserving(m, tol)
-    return sign_split(*m.eigensystem, m.dim, tol)
+    return sign_split(*m.eigensystem, tol)
 
 
 def choi_eigenvalues(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -381,9 +381,20 @@ def test_dilate_choi_document_solves_one_eigh(capsys, monkeypatch, tmp_path):
     assert [name for name, a in seen if a.shape[-1] == 9] == ["eigh"]
 
 
-def test_tolerance_flag_validation(capsys):
+def test_tolerance_flag_validation(capsys, tmp_path):
+    # a bad flag names the flag; a bad tolerances object in the document names its path
     code, _, err = run_cli(capsys, "decompose", fix("transpose_choi.json"), "--tol-eig", "2.0")
     assert code == 1
+    assert err == "error: invalid input: --tol-eig: zero_eig_rel must be in (0, 1), got 2.0\n"
+    code, _, err = run_cli(capsys, "decompose", fix("transpose_choi.json"), "--tol-residual", "nan")
+    assert code == 1
+    assert err == "error: invalid input: --tol-residual: residual_abs must be in (0, 1), got nan\n"
+    doc = json.loads((FIXTURES / "transpose_choi.json").read_text())
+    doc["tolerances"] = {"zero_eig_rel": 2.0}
+    path = tmp_path / "bad_tolerances.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "decompose", str(path))
+    assert code == 1 and err.startswith("error: invalid input: $.tolerances")
 
 
 def test_unknown_kind_rejected(capsys, tmp_path):

@@ -12,7 +12,7 @@ from dynamap.channels import (
     transpose_map,
 )
 from dynamap.cpsplit import cp_split, split_from_eigensystem, trace_functionals, verify_annihilation
-from dynamap.errors import NonHermitianChoi, NotTracePreserving, SingularJ
+from dynamap.errors import DimensionMismatch, NonHermitianChoi, NotTracePreserving, SingularJ
 from dynamap.generators import (
     haar_unitary,
     random_complex,
@@ -20,7 +20,7 @@ from dynamap.generators import (
     random_tp_map,
     random_tp_map_with_kernel,
 )
-from dynamap.linalg import zero_cut
+from dynamap.linalg import ToleranceConfig, zero_cut
 from dynamap.maps import LinearMap, apply_map
 
 
@@ -322,6 +322,24 @@ def test_split_families_share_the_cached_eigenvectors(make):
     for part in (s.positive_part, s.negative_part):
         ops = part.kraus.operators
         assert np.shares_memory(ops, vectors) and not ops.flags.writeable
+
+
+def test_split_from_eigensystem_rejects_eigenvectors_of_another_side():
+    with pytest.raises(DimensionMismatch, match="length 9 does not match dim 2"):
+        split_from_eigensystem(transpose_map(2), *transpose_map(3).eigensystem)
+
+
+def test_a_split_is_judged_under_the_tolerance_that_made_it():
+    tight = ToleranceConfig(residual_abs=1e-300)
+    m = ncp_family(0.5)
+    assert 0.0 < trace_functionals(cp_split(m, tight)).max_residual <= 1e-12
+    assert trace_functionals(cp_split(m, tight)).passed is False
+    assert trace_functionals(cp_split(m)).passed is True
+    # its Choi Hermiticity residual fails cp_split's precondition under 1e-300
+    m = random_tp_map_with_kernel(3, np.random.default_rng(4))
+    rep = verify_annihilation(split_from_eigensystem(m, *m.eigensystem, tight))
+    assert 0.0 < rep.max_residual <= 1e-12 and rep.passed is False
+    assert verify_annihilation(cp_split(m)).passed is True
 
 
 def test_cp_split_retains_one_eigenvector_matrix():

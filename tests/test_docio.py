@@ -81,8 +81,8 @@ def _outcome(raw: bytes):
     arrays = {"unitary": doc.unitary}
     if doc.linear_map is not None:
         arrays["choi"] = doc.linear_map.choi
-    if doc.kraus is not None:
-        arrays["kraus"] = doc.kraus.operators
+    if doc.linear_map is not None and doc.linear_map.kraus is not None:
+        arrays["kraus"] = doc.linear_map.kraus.operators
     if doc.state is not None:
         arrays["state"] = doc.state.amplitudes
     return {name: (a.dtype.str, a.shape, a.tobytes())

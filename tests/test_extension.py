@@ -32,7 +32,7 @@ from dynamap.generators import (
     random_tp_map,
     random_tp_map_with_kernel,
 )
-from dynamap.linalg import DEFAULT_TOL, frob, hermiticity_residual
+from dynamap.linalg import DEFAULT_TOL, ToleranceConfig, frob, hermiticity_residual
 from dynamap.maps import LinearMap, apply_map, check_cp, from_a_form, kraus_to_map
 
 
@@ -106,7 +106,7 @@ def test_apply_sector_map_transpose_blocks():
 def test_apply_sector_map_zero_and_linearity():
     rng = np.random.default_rng(6)
     s = cp_split(random_tp_map(3, rng))
-    zero = ExtendedState(3, np.zeros((3, 3), complex), np.zeros((3, 3), complex))
+    zero = ExtendedState(np.zeros((3, 3), complex), np.zeros((3, 3), complex))
     out = apply_sector_map(s, zero)
     assert np.allclose(out.plus_block, 0.0) and np.allclose(out.minus_block, 0.0)
 
@@ -273,7 +273,7 @@ def test_singular_plus_functional_raises():
     with pytest.raises(SingularJ):
         build_extension(s, np.eye(2) / 2, "symmetric")
     with pytest.raises(SingularJ):
-        apply_sector_map(s, ExtendedState(2, np.eye(2, dtype=complex) / 2, None))
+        apply_sector_map(s, ExtendedState(np.eye(2, dtype=complex) / 2, None))
 
 
 def test_ncp_family_zoo_reconstructs():
@@ -307,6 +307,17 @@ def test_unknown_variant_is_rejected():
         apply_sector_map(s, state, "sandwich")
     with pytest.raises(ValueError, match="unknown variant"):
         sector_choi_report(s, "sandwich")
+
+
+def test_sector_report_is_judged_under_the_split_tolerance():
+    tight = ToleranceConfig(residual_abs=1e-300)
+    s = cp_split(transpose_map(3), tight)
+    assert sector_choi_report(s, "literal").plus_min_eig is None
+    assert sector_choi_report(cp_split(transpose_map(3)), "literal").plus_min_eig == 0.0
+    # a third argument is accepted only as the split's own tolerance
+    assert sector_choi_report(s, "literal", tight) == sector_choi_report(s, "literal")
+    with pytest.raises(ValueError, match="tolerance that made it"):
+        sector_choi_report(s, "literal", DEFAULT_TOL)
 
 
 def _kron_a_forms(split, variant):

@@ -364,7 +364,7 @@ _TWO_OPERATOR_DOCUMENT = b'{"kind": "kraus", "dim": 1, "data": [[[[2, 0]]], [[[0
     lambda: amplitude_damping_kraus(0.3),
     lambda: random_cptp_kraus(3, 4, np.random.default_rng(1)),
     lambda: map_to_kraus(transpose_map(3))[1],
-    lambda: parse_document(_TWO_OPERATOR_DOCUMENT).kraus,
+    lambda: parse_document(_TWO_OPERATOR_DOCUMENT).linear_map.kraus,
 ], ids=["arrays", "nested_lists", "empty_stack", "empty_list", "channel", "generator",
         "sign_split", "document"])
 def test_kraus_set_operators_are_one_complex_stack(make):
@@ -400,7 +400,7 @@ def test_kraus_set_keeps_only_a_frozen_stack():
 @pytest.mark.parametrize("m", [transpose_map(3), random_tp_map(3, np.random.default_rng(5))],
                          ids=["transpose", "random_tp"])
 def test_sign_split_returns_stacks_whose_signed_sum_is_the_map(m):
-    pos, neg = sign_split(*m.eigensystem, m.dim)
+    pos, neg = sign_split(*m.eigensystem)
     for kraus in (pos, neg):
         assert isinstance(kraus.operators, np.ndarray)
         assert kraus.operators.shape == (len(kraus), 3, 3) and kraus.dim == 3
@@ -412,14 +412,20 @@ def test_sign_split_returns_stacks_whose_signed_sum_is_the_map(m):
 def test_sign_split_requires_descending_eigenvalues():
     values, vectors = np.linalg.eigh(transpose_map(2).choi)  # ascending
     with pytest.raises(ValueError, match="descending"):
-        sign_split(values, vectors, 2)
-    pos, neg = sign_split(values[::-1], vectors[:, ::-1], 2)
+        sign_split(values, vectors)
+    pos, neg = sign_split(values[::-1], vectors[:, ::-1])
     assert (len(pos), len(neg)) == (3, 1)
+
+
+def test_sign_split_reads_the_side_off_a_square_row_count():
+    values, vectors = transpose_map(2).eigensystem
+    with pytest.raises(DimensionMismatch, match="length 3 is not a perfect square"):
+        sign_split(values[:3], vectors[:3, :3])
 
 
 def test_sign_split_of_cp_map_has_empty_negative_stack():
     m = amplitude_damping_map(0.3)
-    pos, neg = sign_split(*m.eigensystem, m.dim)
+    pos, neg = sign_split(*m.eigensystem)
     assert len(pos) == 2
     assert neg.operators.shape == (0, 2, 2) and neg.dim == 2 and neg.weights.shape == (0,)
     zero = weighted_choi(neg.operators, neg.weights)
@@ -505,7 +511,7 @@ def test_gram_route_eigensystem_matches_dense_eigh(kraus):
     kept, dense_kept = vectors[:, keep[: vectors.shape[1]]], dense_vectors[:, keep]
     assert np.linalg.norm(kept @ kept.conj().T - dense_kept @ dense_kept.conj().T) <= 1e-9
     assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(vectors.shape[1])) <= 1e-10
-    positive, negative = sign_split(values, vectors, m.dim)
+    positive, negative = sign_split(values, vectors)
     assert len(negative) == 0
     rebuilt = weighted_choi(positive.operators, positive.weights)
     assert np.linalg.norm(rebuilt - m.choi) <= 1e-12 * np.linalg.norm(m.choi)
@@ -557,7 +563,7 @@ def test_sign_split_rejects_nonzero_eigenvalue_without_vector():
     assert vectors.shape == (4, 2)
     for bad in ([2.0, 1.0, 0.0, -1.0], [2.0, 1.0, 1.0, 0.0], [2.0, -1.0, -1.0, -1.0]):
         with pytest.raises(DimensionMismatch, match="weights must match"):
-            sign_split(np.array(bad), vectors, 2)
+            sign_split(np.array(bad), vectors)
 
 
 def test_linear_map_rejects_bad_shapes():

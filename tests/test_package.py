@@ -1,6 +1,8 @@
 import importlib
+import inspect
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -43,6 +45,32 @@ def test_every_public_name_resolves_to_its_submodule_object():
         sub = importlib.import_module(f"dynamap.{module}")
         for name in names.split():
             assert getattr(dynamap, name) is getattr(sub, name)
+
+
+def test_no_public_verdict_on_a_split_takes_a_second_tolerance():
+    # a split is judged under split.tol; sector_choi_report keeps a third positional
+    # slot, filled by perfbench's size sweep, that refuses any other tolerance
+    from dynamap.cpsplit import CPSplit
+    from dynamap.linalg import ToleranceConfig
+
+    on_split, takes_tol = set(), set()
+    for name in dynamap.__all__:
+        fn = getattr(dynamap, name)
+        if not inspect.isfunction(fn):
+            continue
+        hints = typing.get_type_hints(fn)
+        params = list(inspect.signature(fn).parameters)
+        if not params or hints.get(params[0]) is not CPSplit:
+            continue
+        on_split.add(name)
+        if any(ToleranceConfig in (hints.get(p), *typing.get_args(hints.get(p)))
+               for p in params[1:]):
+            takes_tol.add(name)
+    assert {"verify_annihilation", "trace_functionals", "sector_choi_report"} <= on_split
+    assert takes_tol <= {"sector_choi_report"}
+    split = dynamap.cp_split(dynamap.transpose_map(2))
+    with pytest.raises(ValueError, match="tolerance that made it"):
+        dynamap.sector_choi_report(split, "literal", ToleranceConfig(residual_abs=1e-6))
 
 
 def test_unknown_attribute_is_an_attribute_error():
