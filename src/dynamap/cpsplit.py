@@ -47,35 +47,27 @@ from .generators import random_complex, random_density_matrix, seeded_stack
 
 @dataclass(frozen=True, eq=False)
 class CPSplit:
-    """The sign-split of a map, two CP part maps whose ``kraus`` are its two
-    Kraus families, together with its trace-functional data.
+    """The sign-split of a map: its ``source``, two CP part maps whose
+    ``kraus`` are its two Kraus families, and the ``tol`` that made it, which
+    judges every verdict on the split (:func:`verify_annihilation`,
+    :func:`trace_functionals`, :func:`~dynamap.extension.sector_choi_report`).
 
-    ``plus_eigenvalues`` (ascending) and ``plus_eigenvectors`` are the
-    eigensystem of ``plus_functional``.  ``kernel_basis`` and
-    ``support_basis`` hold orthonormal column vectors spanning the kernel
-    and the range of ``minus_functional``; ``minus_pinv @ minus_functional ==
-    support_projector`` within tolerance, and ``minus_sqrt`` and
-    ``minus_pinv_sqrt`` are the square roots of ``minus_functional`` and of
-    ``minus_pinv``.  ``plus_inv``, ``plus_sqrt`` and ``plus_inv_sqrt`` are
-    the powers -1, 1/2 and -1/2 of ``plus_functional``, each computed once,
-    on first use; they raise :class:`SingularJ` when it is singular.
-    Every verdict on a split (:func:`verify_annihilation`, :func:`trace_functionals`,
-    :func:`~dynamap.extension.sector_choi_report`) uses ``tol``, which made the split.
+    The rest is derived from the parts on first use and cached.
+    ``plus_functional`` and ``minus_functional`` are the transposed output
+    traces of the parts, each solved by one ``eigh``: ``plus_eigenvalues``
+    (ascending) and ``plus_eigenvectors``, and ``kernel_basis`` and
+    ``support_basis``, orthonormal columns spanning the kernel and the range
+    of ``minus_functional``.  ``plus_inv``, ``plus_sqrt`` and
+    ``plus_inv_sqrt`` are the powers -1, 1/2 and -1/2 of ``plus_functional``
+    and raise :class:`SingularJ` when it is singular; ``minus_pinv``,
+    ``minus_sqrt``, ``minus_pinv_sqrt`` and ``support_projector`` are the
+    powers -1, 1/2, -1/2 and 0 of ``minus_functional`` over the eigenpairs
+    of its support, read from its eigensystem, not from ``support_basis``.
     """
 
     source: LinearMap
     positive_part: LinearMap
     negative_part: LinearMap
-    plus_functional: np.ndarray
-    minus_functional: np.ndarray
-    plus_eigenvalues: np.ndarray
-    plus_eigenvectors: np.ndarray
-    minus_pinv: np.ndarray
-    minus_sqrt: np.ndarray
-    minus_pinv_sqrt: np.ndarray
-    support_projector: np.ndarray
-    kernel_basis: np.ndarray
-    support_basis: np.ndarray
     tol: ToleranceConfig
 
     @property
@@ -94,15 +86,41 @@ class CPSplit:
     def has_negative_part(self) -> bool:
         return self.n_negative > 0
 
+    # Tr[part(X)] = Tr[F X] makes F the transposed output trace of the part
+    plus_functional = cached_property(lambda self: self.positive_part.output_trace.T)
+    minus_functional = cached_property(lambda self: self.negative_part.output_trace.T)
+    _plus_eigh = cached_property(lambda self: np.linalg.eigh(self.plus_functional))
+    _minus_eigh = cached_property(lambda self: np.linalg.eigh(self.minus_functional))
+    plus_eigenvalues = cached_property(lambda self: self._plus_eigh[0])
+    plus_eigenvectors = cached_property(lambda self: self._plus_eigh[1])
+
+    @cached_property
+    def _kernel_dim(self) -> int:
+        # ascending, so the kernel is a leading slice and the support the rest
+        values = self._minus_eigh[0]
+        return int(np.count_nonzero(values <= zero_cut(values, self.tol)))
+
+    kernel_basis = cached_property(lambda self: self._minus_eigh[1][:, : self._kernel_dim])
+    support_basis = cached_property(lambda self: self._minus_eigh[1][:, self._kernel_dim :])
+
     def _plus_power(self, power: float) -> np.ndarray:
         w = self.plus_eigenvalues
         if w[0] <= zero_cut(w, self.tol):
             raise SingularJ(f"plus functional min eigenvalue {w[0]:.3e}")
         return spectral_power(w, self.plus_eigenvectors, power)
 
+    def _minus_power(self, power: float) -> np.ndarray:
+        values, vectors = self._minus_eigh
+        k = self._kernel_dim
+        return spectral_power(values[k:], vectors[:, k:], power)
+
     plus_inv = cached_property(lambda self: self._plus_power(-1.0))
     plus_sqrt = cached_property(lambda self: self._plus_power(0.5))
     plus_inv_sqrt = cached_property(lambda self: self._plus_power(-0.5))
+    minus_pinv = cached_property(lambda self: self._minus_power(-1.0))
+    minus_sqrt = cached_property(lambda self: self._minus_power(0.5))
+    minus_pinv_sqrt = cached_property(lambda self: self._minus_power(-0.5))
+    support_projector = cached_property(lambda self: self._minus_power(0.0))
 
 
 @dataclass(frozen=True)
@@ -165,34 +183,7 @@ def split_from_eigensystem(
     if len(vectors) != m.dim ** 2:  # sign_split reads the operator side off this length
         raise DimensionMismatch(f"eigenvector length {len(vectors)} does not match dim {m.dim}")
     positive_part, negative_part = (kraus_to_map(k) for k in sign_split(values, vectors, tol))
-    # Tr[part(X)] = Tr[F X] makes F the transposed output partial trace
-    plus_functional, minus_functional = (
-        np.einsum("aiaj->ij", part.choi4).T for part in (positive_part, negative_part)
-    )
-
-    j_vals, j_vecs = np.linalg.eigh(plus_functional)
-    k_vals, k_vecs = np.linalg.eigh(minus_functional)
-    # ascending, so the kernel is a leading slice and the support the rest
-    kernel_dim = int(np.count_nonzero(k_vals <= zero_cut(k_vals, tol)))
-    support_basis = k_vecs[:, kernel_dim:]
-    support_vals = k_vals[kernel_dim:]
-
-    return CPSplit(
-        source=m,
-        positive_part=positive_part,
-        negative_part=negative_part,
-        plus_functional=plus_functional,
-        minus_functional=minus_functional,
-        plus_eigenvalues=j_vals,
-        plus_eigenvectors=j_vecs,
-        minus_pinv=spectral_power(support_vals, support_basis, -1.0),
-        minus_sqrt=spectral_power(support_vals, support_basis, 0.5),
-        minus_pinv_sqrt=spectral_power(support_vals, support_basis, -0.5),
-        support_projector=spectral_power(support_vals, support_basis, 0.0),
-        kernel_basis=k_vecs[:, :kernel_dim],
-        support_basis=support_basis,
-        tol=tol,
-    )
+    return CPSplit(m, positive_part, negative_part, tol)
 
 
 def verify_annihilation(split: CPSplit, samples: int = 20, seed: int = 0) -> AnnihilationReport:

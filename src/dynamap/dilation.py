@@ -25,10 +25,10 @@ from .maps import KrausSet, LinearMap, apply_map, as_states
 
 @dataclass(frozen=True, eq=False)
 class UnitaryDilation:
-    system_dim: int
     ancilla_dim: int
     unitary: np.ndarray
     ancilla_ref_index: ClassVar[int] = 0  # the isometry's columns are 0::ancilla_dim
+    system_dim = property(lambda self: len(self.unitary) // self.ancilla_dim)
 
     def evolve(self, rho) -> np.ndarray:
         """Apply the dilation to a system state, or to each state of a stack
@@ -75,7 +75,7 @@ def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> Uni
     unitary = np.empty((total, total), dtype=complex)
     unitary[:, ::d] = isometry
     unitary[:, np.arange(total) % d != 0] = np.linalg.qr(isometry, mode="complete")[0][:, n:]
-    return UnitaryDilation(system_dim=n, ancilla_dim=d, unitary=unitary)
+    return UnitaryDilation(ancilla_dim=d, unitary=unitary)
 
 
 def unitarity_residual(dilation: UnitaryDilation) -> float:

@@ -82,12 +82,41 @@ class ExtensionVerdict(Enum):
 
 @dataclass(frozen=True, eq=False)
 class WitnessCertificate:
+    """A joint pure state's reduced system state, its spectrum (descending)
+    and the Schmidt rank counted under a tolerance; the rest is read off these."""
+
     reduced_state: np.ndarray
-    purity: float
-    schmidt_rank: int
-    verdict: ExtensionVerdict
     schmidt_weights: np.ndarray
-    explanation: str
+    schmidt_rank: int
+
+    @property
+    def purity(self) -> float:
+        rho = self.reduced_state
+        return float(np.real(np.trace(rho @ rho)))
+
+    @property
+    def verdict(self) -> ExtensionVerdict:
+        if self.schmidt_rank >= 2:
+            return ExtensionVerdict.POSITIVE_EXTENSION_IMPOSSIBLE
+        return ExtensionVerdict.PRODUCT_STATE
+
+    @property
+    def explanation(self) -> str:
+        if self.verdict is ExtensionVerdict.POSITIVE_EXTENSION_IMPOSSIBLE:
+            return (
+                f"the reduced system state is mixed (purity {self.purity:.12g}, "
+                f"Schmidt rank {self.schmidt_rank}); a linear extension would expand into "
+                "a convex combination of the eigenprojector images with weights "
+                f"{np.round(self.schmidt_weights[: self.schmidt_rank], 12).tolist()}, each of "
+                "which would have to equal the pure joint projector because a pure state "
+                "admits no convex decomposition, yet tracing the environment from the joint "
+                "projector returns the mixed reduced state instead of the eigenprojector, so "
+                "the extension cannot be positive on every eigenstate"
+            )
+        return (
+            "the reduced system state is pure, the joint state is a product, and "
+            "the standard product extension is positive on all states"
+        )
 
 
 def extension_witness(
@@ -95,40 +124,14 @@ def extension_witness(
 ) -> WitnessCertificate:
     """Decide whether any positive linear extension can target this state.
 
-    Computes the reduced system state, its spectrum, purity and Schmidt
-    rank; rank two or more certifies that no positive linear extension map
-    can send the reduced state to the joint projector.
+    Computes the reduced system state, its spectrum and Schmidt rank; rank
+    two or more certifies that no positive linear extension map can send
+    the reduced state to the joint projector.
     """
     rho = phi.reduced_system()
     weights = np.clip(np.linalg.eigvalsh(rho)[::-1], 0.0, None)
-    purity = float(np.real(np.trace(rho @ rho)))
     rank = int(np.sum(weights > zero_cut(weights, tol)))
-    if rank >= 2:
-        verdict = ExtensionVerdict.POSITIVE_EXTENSION_IMPOSSIBLE
-        explanation = (
-            f"the reduced system state is mixed (purity {purity:.12g}, "
-            f"Schmidt rank {rank}); a linear extension would expand into a convex "
-            "combination of the eigenprojector images with weights "
-            f"{np.round(weights[:rank], 12).tolist()}, each of which would have to "
-            "equal the pure joint projector because a pure state admits no convex "
-            "decomposition, yet tracing the environment from the joint projector "
-            "returns the mixed reduced state instead of the eigenprojector, so the "
-            "extension cannot be positive on every eigenstate"
-        )
-    else:
-        verdict = ExtensionVerdict.PRODUCT_STATE
-        explanation = (
-            "the reduced system state is pure, the joint state is a product, and "
-            "the standard product extension is positive on all states"
-        )
-    return WitnessCertificate(
-        reduced_state=rho,
-        purity=purity,
-        schmidt_rank=rank,
-        verdict=verdict,
-        schmidt_weights=weights,
-        explanation=explanation,
-    )
+    return WitnessCertificate(reduced_state=rho, schmidt_weights=weights, schmidt_rank=rank)
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,9 +54,10 @@ class LinearMap:
     """A linear map on ``dim x dim`` matrices, stored as its Choi matrix.
 
     A map caches measurements, never verdicts: ``_hermiticity``,
-    ``_tp_residual`` and the Choi spectrum are computed once, on first use,
-    the spectrum only as far as it is read (``eigenvalues`` or
-    ``eigensystem``), and each ``check_*`` judges one under its tolerance.
+    ``output_trace``, ``_tp_residual`` and the Choi spectrum are computed
+    once, on first use, the spectrum only as far as it is read
+    (``eigenvalues`` or ``eigensystem``), and each ``check_*`` judges one
+    under its tolerance.
     ``choi`` is read-only and kept by :func:`_frozen`, so no cache can go
     stale; :func:`kraus_to_map`, :func:`from_a_form` and the document parser
     hand over the matrix they built uncopied.  ``kraus`` is the
@@ -132,9 +133,16 @@ class LinearMap:
         return hermiticity_residual(self.choi), frob(self.choi)
 
     @cached_property
+    def output_trace(self) -> np.ndarray:
+        """``Tr_out B``, read-only, from ``choi4`` with no second validation."""
+        traced = np.einsum("aiaj->ij", self.choi4)
+        traced.flags.writeable = False
+        return traced
+
+    @cached_property
     def _tp_residual(self) -> float:
-        """``‖Tr_out B - 1‖_F``, from ``choi4`` with no second validation."""
-        return frob(np.einsum("aiaj->ij", self.choi4) - np.eye(self.dim))
+        """``‖Tr_out B - 1‖_F``."""
+        return frob(self.output_trace - np.eye(self.dim))
 
     def __repr__(self):
         return f"LinearMap(dim={self.dim})"

@@ -338,6 +338,23 @@ def test_decompose_eigendecomposes_source_choi_once(capsys, monkeypatch, tmp_pat
     assert all(a.shape[-1] != 36 for _, a in seen)
 
 
+@pytest.mark.parametrize("command", [["decompose"], ["verify"],
+                                     ["verify", "--variant", "symmetric"]])
+def test_each_trace_functional_is_solved_once(capsys, monkeypatch, tmp_path, command):
+    from dynamap.generators import random_tp_map_with_kernel
+
+    m = random_tp_map_with_kernel(3, np.random.default_rng(3))
+    path = _write_doc(tmp_path, {"kind": "choi", "dim": 3, "data": m.choi})
+    seen = _record_solves(monkeypatch)
+    code, rep, _ = run_json(capsys, *command, path)
+    assert code == 0
+    at_side = [(name, a) for name, a in seen if a.shape[-1] == 3]
+    assert [name for name, _ in at_side] == ["eigh", "eigh"]
+    for (_, a), key in zip(at_side, ("plus_functional", "minus_functional")):
+        pairs = np.asarray(rep["split"][key])
+        assert np.array_equal(a, pairs[..., 0] + 1j * pairs[..., 1])
+
+
 def test_extract_solves_only_the_extracted_choi_eigenvalues(capsys, monkeypatch, tmp_path):
     from dynamap.generators import haar_unitary, random_joint_pure_state
 

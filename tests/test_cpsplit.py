@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import tracemalloc
 
 import numpy as np
@@ -16,12 +16,13 @@ from dynamap.errors import DimensionMismatch, NonHermitianChoi, NotTracePreservi
 from dynamap.generators import (
     haar_unitary,
     random_complex,
+    random_cptp_kraus,
     random_density_matrix,
     random_tp_map,
     random_tp_map_with_kernel,
 )
-from dynamap.linalg import ToleranceConfig, zero_cut
-from dynamap.maps import LinearMap, apply_map
+from dynamap.linalg import ToleranceConfig, frob, partial_trace, zero_cut
+from dynamap.maps import LinearMap, apply_map, check_tp, kraus_to_map
 
 
 def test_split_identity_map():
@@ -230,14 +231,22 @@ def test_trace_functionals_singular_plus_raises():
         trace_functionals(s, samples=2, seed=0)
 
 
+def _overriding(split, **derived):
+    """A copy of ``split`` whose named derived values are ``derived``: each
+    is a ``cached_property``, which an instance entry overrides."""
+    out = copy.copy(split)
+    vars(out).update(derived)
+    return out
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_plus_power_raises_at_the_zero_cut_edge(scale):
     split = cp_split(transpose_map(2))
     cut = zero_cut([scale], split.tol)
-    at_edge = dataclasses.replace(split, plus_eigenvalues=np.array([cut, scale]))
+    at_edge = _overriding(split, plus_eigenvalues=np.array([cut, scale]))
     with pytest.raises(SingularJ):
         at_edge.plus_inv
-    above = dataclasses.replace(split, plus_eigenvalues=np.array([cut * (1 + 1e-6), scale]))
+    above = _overriding(split, plus_eigenvalues=np.array([cut * (1 + 1e-6), scale]))
     assert np.all(np.isfinite(above.plus_inv_sqrt))
 
 
@@ -286,7 +295,8 @@ def test_stacked_checks_match_per_sample_loops(make):
     s = cp_split(make(3, rng))
     # a wrong kernel/support split gives residuals of order one in every family
     q = haar_unitary(3, rng)
-    wrong = dataclasses.replace(s, kernel_basis=q[:, :1], support_basis=q[:, 1:])
+    # the minus powers read the minus eigensystem, so they stay the true ones
+    wrong = _overriding(s, kernel_basis=q[:, :1], support_basis=q[:, 1:])
     for split in (s, wrong):
         ann = verify_annihilation(split, samples=12, seed=5)
         got = (ann.kernel_state_residual, ann.kernel_cross_residual,
@@ -355,3 +365,19 @@ def test_cp_split_retains_one_eigenvector_matrix():
     # the cached eigenvectors and the two part Choi matrices; a second copy
     # of the eigenvectors in the Kraus families retained about 4
     assert retained < 3.5 * unit
+
+
+@pytest.mark.parametrize("kraus", [False, True])
+def test_functionals_are_the_output_traces_of_the_parts(kraus):
+    rng = np.random.default_rng(31)
+    m = kraus_to_map(random_cptp_kraus(3, 4, rng)) if kraus else random_tp_map(3, rng)
+    assert np.array_equal(m.output_trace, partial_trace(m.choi, (3, 3), "a"))
+    assert check_tp(m)[1] == frob(m.output_trace - np.eye(3))
+    s = cp_split(m)
+    for functional, part in ((s.plus_functional, s.positive_part),
+                             (s.minus_functional, s.negative_part)):
+        assert np.array_equal(functional, part.output_trace.T)
+        # the trace functional of a CP part is sum_i w_i M_i^dag M_i
+        ops, weights = part.kraus.operators, part.kraus.weights
+        direct = np.einsum("i,iba,ibc->ac", weights, ops.conj(), ops)
+        assert np.max(np.abs(functional - direct), initial=0.0) <= 1e-12

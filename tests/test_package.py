@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import subprocess
@@ -90,3 +91,18 @@ def test_submodules_are_package_attributes_in_a_fresh_interpreter():
                                f"{modules!r}])"],
         capture_output=True, text=True, check=True)
     assert child.stdout.strip() == repr([f"dynamap.{m}" for m in modules])
+
+
+def test_result_types_keep_only_their_inputs():
+    # every other value is derived from these on first use
+    from dynamap.cpsplit import CPSplit
+    from dynamap.dilation import UnitaryDilation
+    from dynamap.entangled import WitnessCertificate
+
+    kept = {
+        CPSplit: ["source", "positive_part", "negative_part", "tol"],
+        WitnessCertificate: ["reduced_state", "schmidt_weights", "schmidt_rank"],
+        UnitaryDilation: ["ancilla_dim", "unitary"],
+    }
+    for cls, names in kept.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls
