@@ -72,9 +72,15 @@ def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> Uni
     isometry = kraus.folded_operators().transpose(1, 0, 2).reshape(total, n)
     tol.require(NotCompleteKraus, "completeness", isometry_residual(isometry))
 
-    unitary = np.empty((total, total), dtype=complex)
-    unitary[:, ::d] = isometry
-    unitary[:, np.arange(total) % d != 0] = np.linalg.qr(isometry, mode="complete")[0][:, n:]
+    # the complete factor's first n columns span the isometry's range: write
+    # the isometry over them, then move every column to its place one system
+    # row (d joint rows) at a time, so no second (n*d)^2 array is held
+    unitary = np.linalg.qr(isometry, mode="complete")[0]
+    unitary[:, :n] = isometry
+    joint = np.arange(total)
+    source = np.where(joint % d == 0, joint // d, n + joint - joint // d - 1)
+    for rows in range(0, total, d):
+        unitary[rows : rows + d] = unitary[rows : rows + d, source]
     return UnitaryDilation(ancilla_dim=d, unitary=unitary)
 
 

@@ -1,7 +1,10 @@
 """Seeded random generators for states, unitaries and maps.
 
-Every function takes an explicit ``numpy.random.Generator`` so that runs are
-reproducible, except ``seeded_stack``, which takes the seed of a fresh one.
+Every draw function takes an explicit source of standard normals ``rng``,
+an object with a ``standard_normal(shape)`` method, so that runs are
+reproducible: a ``numpy.random.Generator``, or a ``SeededNormals``.
+``seeded_stack`` takes the seed of a fresh ``SeededNormals``; it draws the
+sampled states of the map commands, which thus never load ``numpy.random``.
 Two generators deserve a note:
 
 * ``random_tp_map`` draws trace-preserving, Hermiticity-preserving maps,
@@ -24,6 +27,7 @@ Two generators deserve a note:
 
 from __future__ import annotations
 
+import random
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,6 +37,26 @@ from .maps import KrausSet, LinearMap, weighted_choi
 
 if TYPE_CHECKING:  # the map commands draw no joint states and never load entangled
     from .entangled import JointPureState
+
+
+class SeededNormals:
+    """Standard normals from the standard library's Mersenne Twister: the
+    uniforms of ``random.Random(seed).random()``, whose stream Python keeps
+    stable across versions, taken in pairs ``(u, v)`` through the Box–Muller
+    transform to ``r cos(2 pi v)`` and ``r sin(2 pi v)``, ``r =
+    sqrt(-2 ln(1 - u))``.  Each ``standard_normal`` call starts on fresh
+    pairs, so an odd size drops its last sine."""
+
+    def __init__(self, seed: int):
+        self._uniform = random.Random(seed).random
+
+    def standard_normal(self, shape) -> np.ndarray:
+        size = int(np.prod(shape))
+        uniforms = np.array([self._uniform() for _ in range(size + size % 2)])
+        u, v = uniforms.reshape(-1, 2).T
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v
+        normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+        return normals.ravel()[:size].reshape(shape)
 
 
 def random_complex(shape, rng: np.random.Generator) -> np.ndarray:
@@ -57,9 +81,9 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def seeded_stack(draw, dim: int, samples: int, seed: int) -> np.ndarray:
     """Stack ``(samples, dim, dim)`` of ``draw(dim, rng)`` matrices from
-    ``default_rng(seed)``, one call per sample in order, so each matrix is
+    ``SeededNormals(seed)``, one call per sample in order, so each matrix is
     the one a loop of single draws gives; no samples give an empty stack."""
-    rng = np.random.default_rng(seed)
+    rng = SeededNormals(seed)
     draws = [draw(dim, rng) for _ in range(samples)]
     return np.array(draws, dtype=complex).reshape(samples, dim, dim)
 

@@ -3,6 +3,7 @@
 Usage::
 
     PYTHONPATH=src python tests/fixture_reports.py [--compact] OUT_DIR
+    python tests/fixture_reports.py --diff OLD_DIR NEW_DIR
 
 Each ``tests/fixtures`` document is run in process through ``cli.main``
 under ``decompose``, ``verify --variant literal``, ``verify --variant
@@ -19,16 +20,23 @@ matrix parse.  With ``--compact``, each fixture is first re-encoded
 without whitespace (``json.dumps`` with ``separators=(",", ":")``, which
 keeps every number's value) into a temporary directory, and the reports
 of those documents are written instead, under the same file names.
+
+With ``--diff``, two such directories are compared report by report, for a
+change that moves report bytes on purpose.  Each line names a report file
+and what moved in it: ``only in OLD_DIR`` (or ``NEW_DIR``); the changed exit
+and stderr lines as ``- old`` / ``+ new``; the dotted key of every JSON
+value that differs (a key present on one side only counts as differing); and
+the changed lines of a report that is not JSON, such as the ``--format text``
+ones.  The exit status is 1 when anything moved and 0 otherwise.
 """
 
 import contextlib
+import difflib
 import io
 import json
 import sys
 import tempfile
 from pathlib import Path
-
-from dynamap import cli
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 JSON_COMMANDS = {
@@ -47,6 +55,8 @@ COMMANDS = {
 
 def run(argv):
     """``(exit_code, stdout, stderr)`` of one in-process CLI call."""
+    from dynamap import cli
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -77,8 +87,68 @@ def write_reports(out_dir, compact=False) -> dict:
     return codes
 
 
+def _changed_lines(old, new):
+    a, b = old.splitlines(), new.splitlines()
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            yield from (f"- {line}" for line in a[i1:i2])
+            yield from (f"+ {line}" for line in b[j1:j2])
+
+
+_MISSING = object()
+
+
+def _changed_keys(old, new, path=""):
+    """Dotted keys of the JSON leaves (non-objects) whose values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _changed_keys(old.get(key, _MISSING), new.get(key, _MISSING),
+                                     f"{path}.{key}" if path else key)
+    elif old != new:
+        yield path
+
+
+def _json_object(text):
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def diff_reports(old_dir, new_dir) -> list:
+    """The lines ``--diff`` prints for two report directories."""
+    old_dir, new_dir = Path(old_dir), Path(new_dir)
+    lines = []
+    for name in sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()}):
+        old_file, new_file = old_dir / name, new_dir / name
+        if not (old_file.exists() and new_file.exists()):
+            lines.append(f"{name}: only in {old_dir if old_file.exists() else new_dir}")
+            continue
+        # the exit and stderr lines, then the report
+        old_head, _, old_out = old_file.read_text().partition("--- stdout\n")
+        new_head, _, new_out = new_file.read_text().partition("--- stdout\n")
+        moved = list(_changed_lines(old_head, new_head))
+        old_json, new_json = _json_object(old_out), _json_object(new_out)
+        if old_json is not None and new_json is not None:
+            moved += _changed_keys(old_json, new_json)
+            if old_out != new_out and old_json == new_json:
+                moved.append("(same values, different bytes)")
+        else:
+            moved += _changed_lines(old_out, new_out)
+        lines += (f"{name}: {item}" for item in moved)
+    return lines
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
+    if args[:1] == ["--diff"]:
+        if len(args) != 3:
+            sys.exit(__doc__)
+        moved = diff_reports(*args[1:])
+        for line in moved:
+            print(line)
+        sys.exit(1 if moved else 0)
     compact = args[:1] == ["--compact"]
     if len(args) != 1 + compact:
         sys.exit(__doc__)

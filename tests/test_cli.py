@@ -562,10 +562,13 @@ _JOINT_IDLE = ("numpy.random", "dynamap.cpsplit", "dynamap.extension", "dynamap.
 @pytest.mark.parametrize("command,name,idle", [
     ("witness", "bell_cnot_joint.json", _JOINT_IDLE),
     ("extract", "bell_cnot_joint.json", _JOINT_IDLE),
-    ("decompose", "transpose_choi.json", ("dynamap.dilation", "dynamap.entangled",
-                                          "dynamap.channels")),
-    ("dilate", "amplitude_damping_kraus.json", ("dynamap.cpsplit", "dynamap.extension",
-                                                "dynamap.entangled", "dynamap.channels")),
+    ("decompose", "transpose_choi.json", ("numpy.random", "dynamap.dilation",
+                                          "dynamap.entangled", "dynamap.channels")),
+    ("dilate", "amplitude_damping_kraus.json", ("numpy.random", "dynamap.cpsplit",
+                                                "dynamap.extension", "dynamap.entangled",
+                                                "dynamap.channels")),
+    ("verify", "transpose_choi.json", ("numpy.random", "dynamap.dilation",
+                                       "dynamap.entangled", "dynamap.channels")),
 ])
 def test_subcommand_child_loads_only_the_layers_it_uses(command, name, idle):
     # -X importtime names every module the child imports, on stderr
@@ -732,6 +735,31 @@ def test_fixture_reports_cover_every_fixture_and_command(tmp_path):
     assert report.startswith("exit: 0\n--- stderr\n--- stdout\n{")
     report = (tmp_path / "transpose_choi.decompose-text.txt").read_text()
     assert report.startswith("exit: 0\n--- stderr\n--- stdout\nannihilation.")
+
+
+def test_fixture_reports_diff_names_what_moved(tmp_path):
+    fixture_reports = _fixture_reports()
+    old, new = tmp_path / "old", tmp_path / "new"
+    for directory in (old, new):
+        directory.mkdir()
+    head = "exit: 0\n--- stderr\n--- stdout\n"
+    (old / "same.txt").write_text(head + '{"a":{"b":1}}')
+    (new / "same.txt").write_text(head + '{"a":{"b":1}}')
+    (old / "m.json.txt").write_text(head + '{"a":{"b":1,"c":[1,2]},"d":true,"gone":0}')
+    (new / "m.json.txt").write_text(head + '{"a":{"b":1,"c":[1,3]},"d":false,"added":0}')
+    (old / "m.text.txt").write_text(head + "a.b = 1\na.c = 2\n")
+    (new / "m.text.txt").write_text("exit: 3\n--- stderr\nerror: x\n--- stdout\na.b = 1\na.c = 5\n")
+    (old / "spaced.txt").write_text(head + '{"a":1}')
+    (new / "spaced.txt").write_text(head + '{"a": 1}')
+    (new / "extra.txt").write_text(head)
+    assert fixture_reports.diff_reports(old, new) == [
+        f"extra.txt: only in {new}",
+        "m.json.txt: a.c", "m.json.txt: added", "m.json.txt: d", "m.json.txt: gone",
+        "m.text.txt: - exit: 0", "m.text.txt: + exit: 3", "m.text.txt: + error: x",
+        "m.text.txt: - a.c = 2", "m.text.txt: + a.c = 5",
+        "spaced.txt: (same values, different bytes)",
+    ]
+    assert fixture_reports.diff_reports(old, old) == []
 
 
 def test_compact_fixtures_report_as_their_pretty_originals(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from dynamap.channels import (
 from dynamap.cpsplit import cp_split, split_from_eigensystem, trace_functionals, verify_annihilation
 from dynamap.errors import DimensionMismatch, NonHermitianChoi, NotTracePreserving, SingularJ
 from dynamap.generators import (
+    SeededNormals,
     haar_unitary,
     random_complex,
     random_cptp_kraus,
@@ -264,7 +265,7 @@ def _annihilation_loops(split, samples, seed):
             cross = max(cross, norm(apply_map(neg, np.outer(psi, phi.conj()))))
         for op in split.negative_part.kraus.operators:
             mechanism = max(mechanism, norm(op @ phi))
-    rng = np.random.default_rng(seed)
+    rng = SeededNormals(seed)
     for _ in range(samples):
         rho = random_density_matrix(split.dim, rng)
         delta = apply_map(neg, rho) - apply_map(neg, split.support_projector @ rho)
@@ -275,7 +276,7 @@ def _annihilation_loops(split, samples, seed):
 def _trace_functional_loops(split, samples, seed):
     """Per-sample reference for ``trace_functionals``."""
     pos, neg = split.positive_part, split.negative_part
-    rng = np.random.default_rng(seed)
+    rng = SeededNormals(seed)
     res = [0.0] * 4
     for _ in range(samples):
         x = random_complex((split.dim, split.dim), rng)

@@ -15,6 +15,7 @@ from dynamap.channels import (
 from dynamap.dilation import dilation_round_trip, kraus_to_unitary, unitarity_residual
 from dynamap.errors import DimensionMismatch, NotCompleteKraus
 from dynamap.generators import (
+    SeededNormals,
     haar_unitary,
     random_cptp_kraus,
     random_density_matrix,
@@ -145,7 +146,7 @@ def test_round_trip_matches_per_sample_loop():
     kraus = random_cptp_kraus(3, 3, rng)
     dil = kraus_to_unitary(kraus)
     for m in (kraus_to_map(kraus), random_tp_map(3, rng), random_tp_map_with_kernel(3, rng)):
-        loop_rng, worst = np.random.default_rng(9), 0.0
+        loop_rng, worst = SeededNormals(9), 0.0
         for _ in range(10):
             rho = random_density_matrix(3, loop_rng)
             v = dil.unitary[:, dil.ancilla_ref_index :: dil.ancilla_dim]
