@@ -34,13 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, SingularJ
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    max_frob,
-    spectral_power,
-    zero_cut,
-)
+from .linalg import DEFAULT_TOL, ToleranceConfig, max_frob, sign_counts, spectral_power
 from .maps import LinearMap, apply_map, kraus_to_map, require_tp, sign_split
 from .generators import random_complex, random_density_matrix, seeded_stack
 
@@ -94,33 +88,29 @@ class CPSplit:
     plus_eigenvalues = cached_property(lambda self: self._plus_eigh[0])
     plus_eigenvectors = cached_property(lambda self: self._plus_eigh[1])
 
-    @cached_property
-    def _kernel_dim(self) -> int:
-        # ascending, so the kernel is a leading slice and the support the rest
-        values = self._minus_eigh[0]
-        return int(np.count_nonzero(values <= zero_cut(values, self.tol)))
+    def _zeros(self, values) -> int:  # ascending, so the zeros are a leading slice
+        return len(values) - sign_counts(values, self.tol)[0]
 
+    _kernel_dim = cached_property(lambda self: self._zeros(self._minus_eigh[0]))
     kernel_basis = cached_property(lambda self: self._minus_eigh[1][:, : self._kernel_dim])
     support_basis = cached_property(lambda self: self._minus_eigh[1][:, self._kernel_dim :])
 
-    def _plus_power(self, power: float) -> np.ndarray:
-        w = self.plus_eigenvalues
-        if w[0] <= zero_cut(w, self.tol):
-            raise SingularJ(f"plus functional min eigenvalue {w[0]:.3e}")
-        return spectral_power(w, self.plus_eigenvectors, power)
-
-    def _minus_power(self, power: float) -> np.ndarray:
-        values, vectors = self._minus_eigh
-        k = self._kernel_dim
+    def _power(self, power: float, minus: bool = False) -> np.ndarray:
+        if minus:
+            (values, vectors), k = self._minus_eigh, self._kernel_dim
+        else:
+            values, vectors = self.plus_eigenvalues, self.plus_eigenvectors
+            if k := self._zeros(values):
+                raise SingularJ(f"plus functional min eigenvalue {values[0]:.3e}")
         return spectral_power(values[k:], vectors[:, k:], power)
 
-    plus_inv = cached_property(lambda self: self._plus_power(-1.0))
-    plus_sqrt = cached_property(lambda self: self._plus_power(0.5))
-    plus_inv_sqrt = cached_property(lambda self: self._plus_power(-0.5))
-    minus_pinv = cached_property(lambda self: self._minus_power(-1.0))
-    minus_sqrt = cached_property(lambda self: self._minus_power(0.5))
-    minus_pinv_sqrt = cached_property(lambda self: self._minus_power(-0.5))
-    support_projector = cached_property(lambda self: self._minus_power(0.0))
+    plus_inv = cached_property(lambda self: self._power(-1.0))
+    plus_sqrt = cached_property(lambda self: self._power(0.5))
+    plus_inv_sqrt = cached_property(lambda self: self._power(-0.5))
+    minus_pinv = cached_property(lambda self: self._power(-1.0, minus=True))
+    minus_sqrt = cached_property(lambda self: self._power(0.5, minus=True))
+    minus_pinv_sqrt = cached_property(lambda self: self._power(-0.5, minus=True))
+    support_projector = cached_property(lambda self: self._power(0.0, minus=True))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOL, ToleranceConfig, frob, isometry_residual, partial_trace, zero_cut
+from .linalg import DEFAULT_TOL, ToleranceConfig, frob, isometry_residual, partial_trace, sign_counts
 from .maps import LinearMap, apply_map
 
 
@@ -130,7 +130,7 @@ def extension_witness(
     """
     rho = phi.reduced_system()
     weights = np.clip(np.linalg.eigvalsh(rho)[::-1], 0.0, None)
-    rank = int(np.sum(weights > zero_cut(weights, tol)))
+    rank = sign_counts(weights, tol)[0]
     return WitnessCertificate(reduced_state=rho, schmidt_weights=weights, schmidt_rank=rank)
 
 

@@ -1,9 +1,10 @@
 """Dense complex matrix primitives used by every other module.
 
 All functions are pure and operate on plain ``numpy`` arrays of complex
-dtype.  Thresholding decisions (what counts as a zero eigenvalue, how much
-residual is tolerated) are centralized in :class:`ToleranceConfig` so that
-the whole pipeline shares one notion of "numerically zero".
+dtype.  What counts as a zero eigenvalue is decided by :func:`sign_counts`
+alone, and what residual is tolerated by :class:`ToleranceConfig` alone, so
+the whole pipeline, on the dense and the Gram route, shares one notion of
+"numerically zero".
 """
 
 import math
@@ -18,15 +19,17 @@ from .errors import DimensionMismatch
 class ToleranceConfig:
     """Numerical thresholds shared across the package, under one policy.
 
-    Every spectral decision (sign, rank, support, PSD, singularity) uses
-    :func:`zero_cut`: ``zero_eig_rel`` times the largest absolute eigenvalue
-    of the same spectrum, so it is scale invariant.  Every residual verdict
-    is :meth:`passes` and every residual precondition :meth:`require`.  A
-    Hermiticity residual's scale is ``‖m‖``, because its target is ``m``
-    itself.  Residuals against targets of fixed scale keep scale 1, because
-    rescaling the input cannot rescale the target: the identity in
-    ``check_tp``, the unit norm of a joint state, Kraus completeness and
-    unitarity (:func:`isometry_residual`), and the sampled identities.
+    Every spectral decision (sign, rank, support, PSD, singularity) is
+    :func:`sign_counts` under :func:`zero_cut`, ``max(zero_eig_rel,
+    len(values) * eps)`` times the largest absolute value of the spectrum:
+    scale invariant, and never below the rounding noise of a dense solve.
+    Every residual verdict is :meth:`passes` and every residual
+    precondition :meth:`require`.  A Hermiticity residual's scale is
+    ``‖m‖``, because its target is ``m`` itself.  Residuals against targets
+    of fixed scale keep scale 1, because rescaling the input cannot rescale
+    the target: the identity in ``check_tp``, the unit norm of a joint
+    state, Kraus completeness and unitarity (:func:`isometry_residual`),
+    and the sampled identities.
     """
 
     zero_eig_rel: float = 1e-10
@@ -143,11 +146,24 @@ def partial_trace(m, dims: tuple[int, int], which: str) -> np.ndarray:
 
 
 def zero_cut(values, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Magnitude at or below which an eigenvalue of the spectrum ``values``
-    counts as zero: ``zero_eig_rel * max|values|``, so every rank and sign
-    decision is scale invariant."""
+    """Magnitude at or below which a value of the spectrum ``values`` counts
+    as zero: ``max|values| * max(zero_eig_rel, len(values) * eps)``, scale
+    invariant and never below the rounding floor of a dense solve."""
     values = np.asarray(values)
-    return tol.zero_eig_rel * float(np.max(np.abs(values))) if values.size else 0.0
+    rel = max(tol.zero_eig_rel, values.size * np.finfo(float).eps)
+    return rel * float(np.max(np.abs(values), initial=0.0))
+
+
+def sign_counts(values, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, int]:
+    """``(above, below)``: how many ``values`` lie above :func:`zero_cut` and
+    how many below minus it; the rest are zero.  Every sign, rank, kernel,
+    singularity and PSD decision on a spectrum is read from these counts."""
+    values = np.asarray(values)
+    cut = zero_cut(values, tol)
+    return int(np.count_nonzero(values > cut)), int(np.count_nonzero(values < -cut))
+
+
+_FLOOR = ToleranceConfig(zero_eig_rel=np.finfo(float).tiny)  # zero_cut is then its floor
 
 
 def gram_eigensystem(rows: np.ndarray):
@@ -156,19 +172,18 @@ def gram_eigensystem(rows: np.ndarray):
 
     With ``W = rows.T``, ``C = W W^dag`` and ``G = W^dag W`` has the same
     nonzero spectrum; an eigenpair ``(mu, u)`` of ``G`` gives the unit
-    eigenvector ``W u / sqrt(mu)`` of ``C``.  A ``mu`` at or below the
-    rounding floor of a dense solve, ``n * eps * max mu``, becomes exactly
+    eigenvector ``W u / sqrt(mu)`` of ``C``.  A ``mu`` that is not above the
+    rounding floor of :func:`zero_cut` over all ``n`` values becomes exactly
     ``0.0`` with no vector (no division by zero), as do the ``n - k`` values
     ``G`` lacks.  Returns all ``n`` values, descending, and as columns the
     vectors of the leading ``rank`` of them, a view of a ``(rank, n)`` array.
     """
-    n = rows.shape[1]
     mu, u = np.linalg.eigh(rows.conj() @ rows.T)
-    mu, u = mu[::-1], u[:, ::-1]
-    rank = int(np.count_nonzero(mu > n * np.finfo(float).eps * np.max(mu, initial=0.0)))
-    values = np.zeros(n)
-    values[:rank] = mu[:rank]
-    return values, (u[:, :rank].T @ rows / np.sqrt(values[:rank, None])).T
+    values = np.zeros(rows.shape[1])
+    values[: len(mu)] = mu[::-1]
+    rank = sign_counts(values, _FLOOR)[0]
+    values[rank:] = 0.0
+    return values, (u[:, ::-1][:, :rank].T @ rows / np.sqrt(values[:rank, None])).T
 
 
 def spectral_power(values, vectors, power: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from .linalg import (
     frob,
     gram_eigensystem,
     hermiticity_residual,
-    zero_cut,
+    sign_counts,
 )
 
 
@@ -261,10 +261,10 @@ def sign_split(values, vectors, tol: ToleranceConfig = DEFAULT_TOL):
     values that are exactly zero, as the Gram route of
     :attr:`LinearMap.eigensystem` does (any other shortfall leaves a group
     with fewer operators than weights, which :class:`KrausSet` refuses).
-    Eigenvectors with eigenvalue above the zero cut become
-    Hilbert-Schmidt-orthonormal operators weighted by the eigenvalue, those
-    below minus the cut are weighted by its absolute value, and eigenvalues
-    within the cut are discarded from both.
+    Eigenvectors of the values that :func:`~dynamap.linalg.sign_counts`
+    finds positive become Hilbert-Schmidt-orthonormal operators weighted by
+    the value, those it finds negative are weighted by its absolute value,
+    and the zero values are discarded from both.
     """
     values = np.asarray(values, dtype=float)
     if np.any(values[1:] > values[:-1]):
@@ -274,9 +274,8 @@ def sign_split(values, vectors, tol: ToleranceConfig = DEFAULT_TOL):
         raise DimensionMismatch(f"eigenvector length {len(vectors)} is not a perfect square")
     # a view of the columns when they are contiguous, as in LinearMap.eigensystem
     ops = np.asarray(vectors, dtype=complex).T.reshape(-1, dim, dim)
-    cut = zero_cut(values, tol)
-    n_pos = int(np.count_nonzero(values > cut))
-    neg = len(values) - int(np.count_nonzero(values < -cut))
+    n_pos, n_neg = sign_counts(values, tol)
+    neg = len(values) - n_neg
     return KrausSet(ops[:n_pos], values[:n_pos]), KrausSet(ops[neg:], -values[neg:])
 
 
@@ -323,9 +322,8 @@ def check_cp(m: LinearMap, tol: ToleranceConfig = DEFAULT_TOL):
     """Complete positivity: the Choi matrix must be PSD.
 
     Requires a Hermiticity-preserving map (raises :class:`NonHermitianChoi`
-    otherwise).  Returns ``(verdict, min_choi_eigenvalue)`` where the verdict
-    allows eigenvalues down to ``-zero_eig_rel * max|eig|``.
+    otherwise).  Returns ``(verdict, min_choi_eigenvalue)``; the verdict
+    holds when no eigenvalue is negative by :func:`~dynamap.linalg.sign_counts`.
     """
     values = choi_eigenvalues(m, tol)
-    min_eig = float(values[-1])
-    return min_eig >= -zero_cut(values, tol), min_eig
+    return sign_counts(values, tol)[1] == 0, float(values[-1])

@@ -1069,3 +1069,23 @@ def test_canonical_json_writes_a_matrix_one_row_at_a_time():
     assert len(chunks) > 64
     # each chunk is at most one row's text and the bracket or comma before it
     assert max(map(len, chunks)) <= 1 + max(len(canonical_json(row)) for row in matrix)
+
+
+def test_kraus_and_choi_documents_of_one_map_decide_alike_at_the_rounding_floor(
+        capsys, tmp_path):
+    # at --tol-eig 1e-300 the cut is its floor, len·eps·max|λ|: the dense
+    # route's rounding noise counts as zero, as the Gram route's exact zeros do
+    from dynamap.generators import random_cptp_kraus
+    from dynamap.maps import kraus_to_map
+
+    kraus = random_cptp_kraus(4, 3, np.random.default_rng(1))
+    decisions = []
+    for kind, data in (("kraus", kraus.operators), ("choi", kraus_to_map(kraus).choi)):
+        path = _write_doc(tmp_path, {"kind": kind, "dim": 4, "data": data})
+        code, rep, _ = run_json(capsys, "decompose", path, "--tol-eig", "1e-300")
+        assert code == 0
+        dilate_code, _, _ = run_cli(capsys, "dilate", path, "--tol-eig", "1e-300")
+        decisions.append((rep["split"]["l_plus"], rep["split"]["l_minus"], rep["map"]["is_cp"],
+                          rep["dimensions"], dilate_code))
+    assert decisions[0] == decisions[1]
+    assert decisions[0][:3] == (3, 0, True) and decisions[0][4] == 0

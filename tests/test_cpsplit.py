@@ -295,9 +295,11 @@ def test_stacked_checks_match_per_sample_loops(make):
     rng = np.random.default_rng(71)
     s = cp_split(make(3, rng))
     # a wrong kernel/support split gives residuals of order one in every family
+    # that reads it, the sampled ones included, so the two sample streams differ
     q = haar_unitary(3, rng)
-    # the minus powers read the minus eigensystem, so they stay the true ones
-    wrong = _overriding(s, kernel_basis=q[:, :1], support_basis=q[:, 1:])
+    proj = q[:, 1:] @ q[:, 1:].conj().T
+    wrong = _overriding(s, kernel_basis=q[:, :1], support_basis=q[:, 1:],
+                        support_projector=proj, minus_pinv=proj)
     for split in (s, wrong):
         ann = verify_annihilation(split, samples=12, seed=5)
         got = (ann.kernel_state_residual, ann.kernel_cross_residual,
@@ -312,7 +314,7 @@ def test_stacked_checks_match_per_sample_loops(make):
         kernel_dim = int(split is wrong or make is random_tp_map_with_kernel)
         assert split.kernel_basis.shape[1] == kernel_dim
         assert split.support_basis.shape[1] == 3 - kernel_dim
-    assert min(got[:3]) > 1e-3
+    assert min(got + got_tf[3:]) > 1e-3
 
 
 @pytest.mark.parametrize("make", [random_tp_map_with_kernel, random_tp_map, transpose_map])

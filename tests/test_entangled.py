@@ -14,6 +14,7 @@ from dynamap.entangled import (
 )
 from dynamap.errors import DimensionMismatch, NotUnitary
 from dynamap.extension import reconstruct
+from dynamap.linalg import ToleranceConfig
 from dynamap.generators import (
     haar_unitary,
     random_density_matrix,
@@ -76,10 +77,12 @@ def test_witness_dichotomy_random_states():
             if i % 3
             else random_product_joint_state(dims, rng)
         )
-        cert = extension_witness(phi)
-        expect_impossible = cert.purity < 1.0 - 1e-10
-        got_impossible = cert.verdict is ExtensionVerdict.POSITIVE_EXTENSION_IMPOSSIBLE
-        assert got_impossible == expect_impossible
+        # at 1e-300 the cut is its floor, len·eps·max weight, above eigvalsh's noise
+        for tol in (ToleranceConfig(), ToleranceConfig(zero_eig_rel=1e-300)):
+            cert = extension_witness(phi, tol)
+            expect_impossible = cert.purity < 1.0 - 1e-10
+            got_impossible = cert.verdict is ExtensionVerdict.POSITIVE_EXTENSION_IMPOSSIBLE
+            assert got_impossible == expect_impossible
 
 
 def test_induced_dynamics_product_state_is_cp():

@@ -14,6 +14,7 @@ from dynamap.linalg import (
     hermiticity_residual,
     max_frob,
     partial_trace,
+    sign_counts,
     spectral_power,
     zero_cut,
 )
@@ -96,6 +97,31 @@ def test_residual_rule_at_its_edges(residual, scale, passes):
         with pytest.raises(NotUnitary) as info:
             tol.require(NotUnitary, "unitarity", residual, scale)
         assert str(info.value) == f"unitarity residual {residual:.3e} exceeds tolerance"
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+# the default zero_eig_rel binds on 4 values; at 1e-300 the floor 64·eps binds on 64
+@pytest.mark.parametrize("tol,size,rel", [
+    (ToleranceConfig(), 4, 1e-10),
+    (ToleranceConfig(zero_eig_rel=1e-300), 64, 64 * _EPS),
+], ids=["zero_eig_rel", "len_eps_floor"])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("factor,counted", [(1.0, False), (1 + 1e-6, True), (1 - 1e-6, False)])
+def test_sign_counts_at_the_cut_edge(tol, size, rel, scale, factor, counted):
+    cut = rel * scale
+    values = np.zeros(size)
+    values[:3] = scale, cut * factor, -cut * factor
+    assert zero_cut(values, tol) == cut
+    # a value exactly at +-cut is zero; only one past it has a sign
+    assert sign_counts(values, tol) == (1 + counted, int(counted))
+    assert sign_counts(-values, tol) == (int(counted), 1 + counted)
+
+
+def test_sign_counts_of_an_empty_or_zero_spectrum():
+    assert zero_cut([]) == 0.0 and sign_counts([]) == (0, 0)
+    assert sign_counts(np.zeros(3)) == (0, 0)
 
 
 # Hermitian eigendecomposition: the cached ``LinearMap.eigensystem``

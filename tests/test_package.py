@@ -4,6 +4,7 @@ import inspect
 import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +107,10 @@ def test_result_types_keep_only_their_inputs():
     }
     for cls, names in kept.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls
+
+
+def test_only_linalg_names_the_zero_cut():
+    # every other module decides what is numerically zero by linalg.sign_counts
+    package = Path(dynamap.__file__).parent
+    naming = sorted(path.name for path in package.glob("*.py") if "zero_cut" in path.read_text())
+    assert naming == ["linalg.py"]
