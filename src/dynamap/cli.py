@@ -7,14 +7,15 @@ witness for joint pure states) and ``extract`` (induced subsystem dynamics
 from a joint state and unitary, re-emittable as a map document).
 
 Exit codes: 0 success, 1 invalid input or a failed write to stdout, 2
-numerical precondition failure, 3 verification failure.  Reports go to
-stdout, diagnostics to stderr.  A report is written while it is formatted,
-one matrix row at a time, so its text is never held whole in memory; it is
-checked in full before the first byte, so stdout holds the complete report
-or, when it cannot be serialized, nothing.  A write that stdout refuses (a
-closed stdout or pipe, a full disk) ends in one ``error: cannot write
-report:`` line and exit code 1.  A closed or failing stderr drops the
-diagnostic line and keeps the exit code.
+numerical precondition failure (running out of memory is one), 3
+verification failure.  Reports go to stdout, diagnostics to stderr.  A
+report is written while it is formatted, one matrix row at a time, so its
+text is never held whole in memory; it is checked in full before the
+first byte, so stdout holds the complete report or, when it cannot be
+serialized, nothing.  A write that stdout refuses (a closed stdout or
+pipe, a full disk) ends in one ``error: cannot write report:`` line and
+exit code 1.  A closed or failing stderr drops the diagnostic line and
+keeps the exit code.
 
 The ``dimensions``, ``annihilation``, ``trace_functionals`` and
 ``sector_maps.<variant>`` report sections are the library result
@@ -374,3 +375,7 @@ def main(argv=None) -> int:
     except _WriteFailed as exc:
         _say(f"error: cannot write report: {exc}")
         return EXIT_INVALID_INPUT
+    except MemoryError as exc:  # e.g. numpy could not allocate an N^2 x N^2 work array
+        reason = f": {exc}" if str(exc) else ""
+        _say(f"error: numerical precondition failure: out of memory{reason}")
+        return EXIT_PRECONDITION

@@ -42,6 +42,12 @@ with the JSON path of the first offending entry.  ``np.array`` reads
 ``true``/``false`` as numbers, so a document whose bytes contain either
 literal is walked in full.  All paths give bit-identical arrays.
 
+Every report carries ``input_digest``, the SHA-256 hex digest of the
+document's raw bytes as read, before any parsing.  It is computed by
+CPython's builtin hash module (``_sha2`` on 3.12 and later, ``_sha256``
+on 3.10 and 3.11), so no process loads OpenSSL for it; ``hashlib``,
+which gives the same digest, is imported only where neither exists.
+
 Reports are serialized by :func:`canonical_json`: keys sorted, no
 whitespace, floats rendered with 17 significant digits.  Report values may
 be numpy arrays; they are written as nested lists, complex entries as the
@@ -54,9 +60,18 @@ never held whole as text and a report that cannot be serialized writes
 nothing.
 """
 
-import hashlib
 import json
 import math
+
+# hashlib always imports _hashlib, which loads OpenSSL's libcrypto; CPython's
+# own SHA-256 module gives the same digest without it.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -229,7 +244,7 @@ def _matrix_document(raw: bytes):
 
 def parse_document(raw: bytes) -> ParsedDocument:
     """Validate raw JSON bytes into a :class:`ParsedDocument`."""
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     parsed = _matrix_document(raw)
     if parsed is not None:
         doc, matrix = parsed

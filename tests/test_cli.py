@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -436,6 +438,7 @@ def test_stdin_input(capsys, monkeypatch):
     code, rep, _ = run_json(capsys, "decompose", "-")
     assert code == 0
     assert rep["map"]["is_cp"] is True
+    assert rep["input_digest"] == hashlib.sha256(payload).hexdigest()
 
 
 class _FailingStdin:
@@ -454,6 +457,22 @@ def test_unreadable_stdin_is_invalid_input(capsys, monkeypatch, stdin, reason):
     code, out, err = run_cli(capsys, "decompose", "-")
     assert code == 1 and out == ""
     assert err == f"error: invalid input: $: cannot read stdin: {reason}\n"
+
+
+@pytest.mark.parametrize("command,name,stage,reason", [
+    ("dilate", "amplitude_damping_kraus.json", "qr", "Unable to allocate 8.00 GiB"),
+    ("decompose", "transpose_choi.json", "eigh", ""),
+])
+def test_out_of_memory_is_a_precondition_failure(capsys, monkeypatch, command, name, stage,
+                                                 reason):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(reason)
+
+    monkeypatch.setattr(np.linalg, stage, out_of_memory)
+    code, out, err = run_cli(capsys, command, fix(name))
+    assert code == 2 and out == ""
+    assert err == ("error: numerical precondition failure: out of memory"
+                   f"{': ' + reason if reason else ''}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -555,6 +574,7 @@ def test_cli_runs_blas_on_one_thread_unless_environment_sets_it():
     assert counts == ["1", "2"]
 
 
+_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 _JOINT_IDLE = ("numpy.random", "dynamap.cpsplit", "dynamap.extension", "dynamap.dilation",
                "dynamap.generators", "dynamap.channels")
 
@@ -578,6 +598,21 @@ def test_subcommand_child_loads_only_the_layers_it_uses(command, name, idle):
     loaded = {line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()
               if line.startswith("import time:")}
     assert "dynamap.maps" in loaded and not loaded & set(idle)
+    if _BUILTIN_SHA256:  # else the digest needs hashlib, and with it OpenSSL
+        assert not loaded & {"hashlib", "_hashlib"}
+
+
+def test_digest_falls_back_to_hashlib_without_a_builtin_sha256(capsys):
+    argv = ["decompose", fix("transpose_choi.json")]
+    blocked = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+               "from dynamap.__main__ import main; code = main(); "
+               "print('hashlib' in sys.modules, file=sys.stderr); sys.exit(code)")
+    child = subprocess.run([sys.executable, "-c", blocked, *argv], capture_output=True,
+                           text=True)
+    assert (child.returncode, child.stderr) == (0, "True\n")
+    raw = (FIXTURES / "transpose_choi.json").read_bytes()
+    assert json.loads(child.stdout)["input_digest"] == hashlib.sha256(raw).hexdigest()
+    assert child.stdout == run_cli(capsys, *argv)[1]
 
 
 @pytest.mark.parametrize("argv,code,last_line", [

@@ -7,14 +7,16 @@ every array must match it bit for bit, and every rejected document must
 fail with the same JSON path and message.
 """
 
+import hashlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynamap import docio
@@ -464,3 +466,33 @@ def test_huge_dim_compact_document_is_refused_before_anything_of_its_size():
         tracemalloc.stop()
     assert got == ("error", "$.data", "expected 10000000000 rows, got 1")
     assert peak < 2 ** 20
+
+
+_FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+_REFUSED = {"bad_complex.json", "bad_dim.json"}  # invalid documents carry no digest
+
+
+@pytest.mark.parametrize("path", _FIXTURES, ids=lambda path: path.name)
+def test_digest_is_the_hashlib_sha256_of_every_fixture(path):
+    raw = path.read_bytes()
+    want = hashlib.sha256(raw).hexdigest()
+    assert docio.sha256(raw).hexdigest() == want
+    if path.name in _REFUSED:
+        with pytest.raises(DocumentError):
+            parse_document(raw)
+    else:
+        assert parse_document(raw).digest == want
+
+
+@example(b"")  # empty input: no document, but still hashed before parsing
+@given(st.binary(max_size=2048))
+def test_digest_of_any_bytes_is_the_hashlib_sha256(raw):
+    assert docio.sha256(raw).hexdigest() == hashlib.sha256(raw).hexdigest()
+
+
+@given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=256))
+def test_digest_of_a_drawn_document_is_the_hashlib_sha256(note):
+    # an unknown top-level key is ignored, so any text can ride in one
+    raw = json.dumps({"kind": "kraus", "dim": 1, "data": [[[[1, 0]]]], "note": note},
+                     ensure_ascii=False).encode()
+    assert parse_document(raw).digest == hashlib.sha256(raw).hexdigest()
