@@ -8,9 +8,13 @@ from a joint state and unitary, re-emittable as a map document).
 
 Exit codes: 0 success, 1 invalid input or a failed write to stdout, 2
 numerical precondition failure (running out of memory is one), 3
-verification failure.  Reports go to stdout, diagnostics to stderr.  A
-report is written while it is formatted, one matrix row at a time, so its
-text is never held whole in memory; it is checked in full before the
+verification failure.  Reports go to stdout, diagnostics to stderr.
+:func:`main` decides every exit code and stderr line; a ``cmd_<name>``
+only adds its sections to the report and returns ``None`` or the message
+of its failed verification (exit 3, written after the report).
+
+A report is written while it is formatted, one matrix row at a time, so
+its text is never held whole in memory; it is checked in full before the
 first byte, so stdout holds the complete report or, when it cannot be
 serialized, nothing.  A write that stdout refuses (a closed stdout or
 pipe, a full disk) ends in one ``error: cannot write report:`` line and
@@ -51,10 +55,7 @@ class _Parser(argparse.ArgumentParser):
         # argparse drops a failed write; on stdout (--version, --help) it is a failed report
         if file is not sys.stdout:
             return super()._print_message(message, file)
-        try:
-            _stdout().write(message)
-        except OSError as exc:
-            raise _WriteFailed(exc) from None
+        _stdout().write(message)
 
 
 def _build_parser() -> _Parser:
@@ -99,9 +100,9 @@ def _read_input(path: str) -> bytes:
         raise DocumentError("$", f"cannot read {source}: {exc}") from None
 
 
-def _resolve(args, joint=False):
+def _resolve(args):
     """``(doc, tol, seed)`` of ``args.file``, which must be a joint_dynamics
-    document when ``joint`` and a map document otherwise."""
+    document for ``witness`` and ``extract`` and a map document otherwise."""
     from dataclasses import replace
 
     from .docio import parse_document
@@ -114,10 +115,10 @@ def _resolve(args, joint=False):
             tol = tol if value is None else replace(tol, **{field: value})
         except ValueError as exc:  # the flag, not the document, holds the bad value
             raise DocumentError(flag, str(exc)) from None
-    if joint and doc.state is None:
-        raise DocumentError("$.kind", f"{args.command} expects a joint_dynamics document")
-    if not joint and doc.linear_map is None:
-        raise DocumentError("$.kind", f"{args.command} expects a map document, got {doc.kind!r}")
+    joint = args.command in ("witness", "extract")
+    if (doc.state if joint else doc.linear_map) is None:
+        wanted = "a joint_dynamics document" if joint else f"a map document, got {doc.kind!r}"
+        raise DocumentError("$.kind", f"{args.command} expects {wanted}")
     seed = args.seed if args.seed is not None else (doc.seed if doc.seed is not None else 0)
     return doc, tol, seed
 
@@ -144,31 +145,17 @@ def _map_section(m, tol) -> dict:
     return section
 
 
-def _base_report(doc, tol, seed, args) -> dict:
-    return {
-        "command": args.command,
-        "input_digest": doc.digest,
-        "tool_version": __version__,
-        "seed": seed,
-        "samples": args.samples,
-        "variant": args.variant,
-        "tolerances": {"zero_eig_rel": tol.zero_eig_rel, "residual_abs": tol.residual_abs},
-    }
-
-
-def _decomposition_report(args):
-    """Resolve a map document, split it and build the ``decompose`` report;
-    returns ``(report, split, seed)``, every verdict under ``split.tol``."""
-    doc, tol, seed = _resolve(args)
+def _add_decomposition(report, doc, tol, seed, args):
+    """Add the ``decompose`` sections to ``report``; returns the split,
+    whose every verdict is under ``split.tol``."""
     from dataclasses import asdict
 
     from .cpsplit import cp_split, trace_functionals, verify_annihilation
     from .extension import dimension_report, sector_choi_report
 
     split = cp_split(doc.linear_map, tol)
-    report = _base_report(doc, tol, seed, args)
-    report["map"] = _map_section(doc.linear_map, tol)
     report.update({
+        "map": _map_section(doc.linear_map, tol),
         "split": {
             "l_plus": split.n_positive,
             "l_minus": split.n_negative,
@@ -186,26 +173,14 @@ def _decomposition_report(args):
             for variant in ("literal", "symmetric")
         },
     })
-    return report, split, seed
-
-
-class _WriteFailed(Exception):
-    """stdout refused part of a report."""
+    return split
 
 
 def _stdout():
-    """``sys.stdout``, or :class:`_WriteFailed` when it is ``None`` (stdout closed at start)."""
+    """``sys.stdout``; a closed one (``None``, closed at start) refuses every write."""
     if sys.stdout is None:
-        raise _WriteFailed("stdout is closed")
+        raise OSError("stdout is closed")
     return sys.stdout
-
-
-def _flush_stdout():
-    try:
-        if sys.stdout is not None:  # a closed stdout holds nothing to lose
-            sys.stdout.flush()
-    except OSError as exc:
-        raise _WriteFailed(exc) from None
 
 
 def _say(line: str):
@@ -219,30 +194,23 @@ def _say(line: str):
 
 
 def _emit(report: dict, fmt: str):
-    """Stream ``report`` to stdout; a write that stdout refuses raises
-    :class:`_WriteFailed`."""
+    """Stream ``report`` to stdout."""
     from .docio import canonical_json, canonical_text
 
     write = _stdout().write
-    try:
-        if fmt == "json":
-            canonical_json(report, write)
-            write("\n")
-        else:
-            canonical_text(report, write)
-    except OSError as exc:
-        raise _WriteFailed(exc) from None
-    _flush_stdout()
+    if fmt == "json":
+        canonical_json(report, write)
+        write("\n")
+    else:
+        canonical_text(report, write)
 
 
-def cmd_decompose(args) -> int:
-    report = _decomposition_report(args)[0]
-    _emit(report, args.format)
-    return EXIT_OK
+def cmd_decompose(report, doc, tol, seed, args):
+    _add_decomposition(report, doc, tol, seed, args)
 
 
-def cmd_verify(args) -> int:
-    report, split, seed = _decomposition_report(args)
+def cmd_verify(report, doc, tol, seed, args):
+    split = _add_decomposition(report, doc, tol, seed, args)
     from .extension import reconstruct
     from .generators import random_density_matrix, seeded_stack
 
@@ -256,16 +224,12 @@ def cmd_verify(args) -> int:
         "max_residual": worst,
         "passed": passed,
     }
-    _emit(report, args.format)
     if not passed:
-        _say(f"error: reconstruction residual {worst:.3e} exceeds tolerance "
-             f"{split.tol.residual_abs:.3e}")
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        return (f"reconstruction residual {worst:.3e} exceeds tolerance "
+                f"{split.tol.residual_abs:.3e}")
 
 
-def cmd_dilate(args) -> int:
-    doc, tol, seed = _resolve(args)
+def cmd_dilate(report, doc, tol, seed, args):
     from .maps import check_cp, map_to_kraus, require_tp
 
     m = doc.linear_map
@@ -282,9 +246,7 @@ def cmd_dilate(args) -> int:
 
     dil = kraus_to_unitary(positive, tol)
     trip = dilation_round_trip(dil, m, samples=args.samples, seed=seed, tol=tol)
-    report = _base_report(doc, tol, seed, args)
-    report["map"] = _map_section(m, tol)
-    report["dilation"] = {
+    report.update(map=_map_section(m, tol), dilation={
         "system_dim": dil.system_dim,
         "ancilla_dim": dil.ancilla_dim,
         "ancilla_ref_index": dil.ancilla_ref_index,
@@ -292,13 +254,10 @@ def cmd_dilate(args) -> int:
         "unitarity_residual": unitarity_residual(dil),
         "round_trip_max_residual": trip.max_residual,
         "round_trip_passed": trip.passed,
-    }
-    _emit(report, args.format)
+    })
     if not trip.passed:
-        _say(f"error: dilation round-trip residual {trip.max_residual:.3e} exceeds "
-             f"tolerance {tol.residual_abs:.3e}")
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        return (f"dilation round-trip residual {trip.max_residual:.3e} exceeds "
+                f"tolerance {tol.residual_abs:.3e}")
 
 
 def _witness_section(state, cert) -> dict:
@@ -311,24 +270,19 @@ def _witness_section(state, cert) -> dict:
     }
 
 
-def cmd_witness(args) -> int:
-    doc, tol, seed = _resolve(args, joint=True)
+def cmd_witness(report, doc, tol, seed, args):
     from .entangled import extension_witness
 
     cert = extension_witness(doc.state, tol)
-    report = _base_report(doc, tol, seed, args)
     report["witness"] = {
         **_witness_section(doc.state, cert),
         "schmidt_weights": cert.schmidt_weights,
         "reduced_state": cert.reduced_state,
         "explanation": cert.explanation,
     }
-    _emit(report, args.format)
-    return EXIT_OK
 
 
-def cmd_extract(args) -> int:
-    doc, tol, seed = _resolve(args, joint=True)
+def cmd_extract(report, doc, tol, seed, args):
     if doc.unitary is None:
         raise DocumentError("$.data.unitary", "extract requires a joint unitary")
     from .entangled import extension_witness, induced_dynamics
@@ -336,7 +290,6 @@ def cmd_extract(args) -> int:
     dynamics = induced_dynamics(doc.state, doc.unitary, tol)
     cert = extension_witness(doc.state, tol)
     m = dynamics.tp_linear_form
-    report = _base_report(doc, tol, seed, args)
     report["map"] = _map_section(m, tol)
     report["witness"] = _witness_section(doc.state, cert)
     report["extraction"] = {
@@ -349,8 +302,6 @@ def cmd_extract(args) -> int:
             "data": m.choi,
         },
     }
-    _emit(report, args.format)
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -362,20 +313,39 @@ def main(argv=None) -> int:
                 parser.error(f"argument --samples: must be at least 1, got {args.samples}")
             if args.seed is not None and args.seed < 0:
                 parser.error(f"argument --seed: must be nonnegative, got {args.seed}")
-        except SystemExit as exc:
-            _flush_stdout()  # --version and --help write to stdout
-            return int(exc.code or 0)
-        return args.func(args)
+        except SystemExit as exc:  # --version, --help and usage errors
+            code, failure = int(exc.code or 0), None
+        else:
+            doc, tol, seed = _resolve(args)
+            report = {
+                "command": args.command,
+                "input_digest": doc.digest,
+                "tool_version": __version__,
+                "seed": seed,
+                "samples": args.samples,
+                "variant": args.variant,
+                "tolerances": {"zero_eig_rel": tol.zero_eig_rel, "residual_abs": tol.residual_abs},
+            }
+            failure = args.func(report, doc, tol, seed, args)
+            _emit(report, args.format)
+            code = EXIT_OK if failure is None else EXIT_VERIFICATION
+        if sys.stdout is not None:  # a closed stdout holds nothing to lose
+            sys.stdout.flush()
     except DocumentError as exc:
         _say(f"error: invalid input: {exc}")
         return EXIT_INVALID_INPUT
     except DynamapError as exc:
         _say(f"error: numerical precondition failure: {exc}")
         return EXIT_PRECONDITION
-    except _WriteFailed as exc:
+    except OSError as exc:
+        # only stdout raises it here: _read_input turns a failed read into a
+        # DocumentError, and _say drops a failed stderr write
         _say(f"error: cannot write report: {exc}")
         return EXIT_INVALID_INPUT
     except MemoryError as exc:  # e.g. numpy could not allocate an N^2 x N^2 work array
         reason = f": {exc}" if str(exc) else ""
         _say(f"error: numerical precondition failure: out of memory{reason}")
         return EXIT_PRECONDITION
+    if failure is not None:
+        _say(f"error: {failure}")
+    return code

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -141,10 +143,23 @@ def test_verify_unreachable_tolerance_exits_3(capsys):
     assert "exceeds tolerance" in err
 
 
-def test_verify_fixture_with_embedded_tight_tolerance_exits_3(capsys):
-    code, rep, _ = run_json(capsys, "verify", fix("verify_fail_tight_tol.json"))
+def run_one_stream(*argv):
+    """``(exit code, report, last line)`` of one in-process call whose stdout
+    and stderr share one stream, so the order of their writes shows."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+        code = main(list(argv))
+    report, line = text.getvalue().rstrip("\n").rsplit("\n", 1)
+    return code, json.loads(report), line  # the whole report precedes the line
+
+
+def test_verify_fixture_with_embedded_tight_tolerance_exits_3():
+    code, rep, line = run_one_stream("verify", fix("verify_fail_tight_tol.json"))
     assert code == 3
     assert rep["tolerances"]["residual_abs"] == 1e-30
+    worst = rep["reconstruction"]["max_residual"]
+    assert rep["reconstruction"]["passed"] is False and worst > 1e-30
+    assert line == f"error: reconstruction residual {worst:.3e} exceeds tolerance 1.000e-30"
 
 
 def test_dilate_amplitude_damping(capsys):
@@ -505,6 +520,16 @@ def _failed_round_trip(*args, **kwargs):
     return RoundTripReport(max_residual=1.0, passed=False)
 
 
+def test_failed_dilation_round_trip_exits_3_after_its_report(monkeypatch):
+    import dynamap.dilation
+
+    monkeypatch.setattr(dynamap.dilation, "dilation_round_trip", _failed_round_trip)
+    code, rep, line = run_one_stream("dilate", fix("amplitude_damping_kraus.json"))
+    assert code == 3
+    assert rep["dilation"]["round_trip_passed"] is False
+    assert line == "error: dilation round-trip residual 1.000e+00 exceeds tolerance 1.000e-09"
+
+
 @pytest.mark.parametrize("stderr", [None, _FailingStderr()], ids=["closed", "write_error"])
 @pytest.mark.parametrize("argv, want", [
     (["decompose", fix("bad_dim.json")], 1),
@@ -678,6 +703,73 @@ def test_oversized_or_deep_json_is_invalid_input(capsys, tmp_path, document, pat
     _assert_clean_usage_error(code, err)
     assert err.startswith(f"error: invalid input: {path}: ")
     assert out == ""
+
+
+def _json_error(text):
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return f"not valid JSON: {exc}"
+
+
+_KRAUS = '"kind": "kraus", "dim": 1'
+_ONE_OP = _KRAUS + ', "data": [[[[1, 0]]]]'
+_JOINT = '"kind": "joint_dynamics", "dims": [1, 1]'
+# a compact matrix document whose rest, with its data span as null, is not JSON
+_TRAILING_COMMA = '{"kind":"choi","dim":1,"data":[[[1,0]]],}'
+
+
+@pytest.mark.parametrize("command,document,path,message", [
+    ("decompose", '{%s, "tolerances": [1e-9]}' % _ONE_OP, "$.tolerances",
+     "tolerances must be an object"),
+    ("decompose", '{%s, "tolerances": {"zero_eig": 1e-9}}' % _ONE_OP, "$.tolerances.zero_eig",
+     "unknown tolerance field"),
+    ("decompose", "[1, 2]", "$", "document must be a JSON object"),
+    ("witness", '{"kind": "joint_dynamics", "dims": [1], "data": {"state": [[1, 0]]}}', "$.dims",
+     "joint_dynamics requires dims = [n_system, n_env]"),
+    ("witness", '{%s, "data": [[1, 0]]}' % _JOINT, "$.data",
+     "joint_dynamics data must be an object"),
+    ("witness", '{%s, "data": {"unitary": [[[1, 0]]]}}' % _JOINT, "$.data.state",
+     "missing state amplitudes"),
+    ("decompose", '{%s, "data": []}' % _KRAUS, "$.data",
+     "kraus data must be a nonempty list of matrices"),
+    ("decompose", '{%s, "data": {"0": [[[1, 0]]]}}' % _KRAUS, "$.data",
+     "kraus data must be a nonempty list of matrices"),
+    ("decompose", '{%s, "weights": [1, 1]}' % _ONE_OP, "$.weights",
+     "weights must match the number of operators"),
+    ("decompose", '{%s, "weights": 1}' % _ONE_OP, "$.weights",
+     "weights must match the number of operators"),
+    ("decompose", '{%s, "weights": [0]}' % _ONE_OP, "$.weights", "weights must be positive"),
+    ("decompose", '{%s, "weights": [-1.5]}' % _ONE_OP, "$.weights", "weights must be positive"),
+    ("decompose", _TRAILING_COMMA, "$", _json_error(_TRAILING_COMMA)),
+], ids=["tolerances_not_object", "unknown_tolerance", "not_object", "bad_dims",
+        "joint_data_not_object", "missing_state", "empty_kraus", "kraus_not_list",
+        "weights_length", "weights_not_list", "zero_weight", "negative_weight",
+        "compact_rest_not_json"])
+def test_each_document_error_is_one_invalid_input_line(capsys, tmp_path, command, document,
+                                                       path, message):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(document)
+    code, out, err = run_cli(capsys, command, str(doc_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: invalid input: {path}: {message}\n"
+
+
+def test_weighted_kraus_document(capsys, tmp_path):
+    from dynamap.docio import parse_document
+    from dynamap.maps import weighted_choi
+
+    gamma, weights = 0.3, np.array([2.0, 0.5])
+    damping = np.array([[[1, 0], [0, np.sqrt(1 - gamma)]], [[0, np.sqrt(gamma)], [0, 0]]])
+    ops = damping / np.sqrt(weights)[:, None, None]  # so that sum_i w_i M_i^dag M_i = 1
+    path = _write_doc(tmp_path, {"kind": "kraus", "dim": 2, "data": ops.astype(complex),
+                                 "weights": weights})
+    with open(path, "rb") as fh:
+        m = parse_document(fh.read()).linear_map
+    assert np.array_equal(m.choi, weighted_choi(ops.astype(complex), weights))
+    assert run_cli(capsys, "decompose", path)[0] == 0
+    code, rep, _ = run_json(capsys, "dilate", path)
+    assert code == 0 and rep["dilation"]["round_trip_passed"] is True
 
 
 def _identity_choi_with(entries):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -114,3 +115,16 @@ def test_only_linalg_names_the_zero_cut():
     package = Path(dynamap.__file__).parent
     naming = sorted(path.name for path in package.glob("*.py") if "zero_cut" in path.read_text())
     assert naming == ["linalg.py"]
+
+
+def test_every_traced_layer_function_resolves():
+    # perfbench/tracing.py wraps these functions by name and reports a missing one as zero
+    # calls, so a rename would silently zero its per-layer metrics; read without importing
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    layers = next(ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS")
+    assert "cmd_decompose" in layers["cli"]
+    missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
+               if not callable(getattr(importlib.import_module(f"dynamap.{layer}"), name, None))]
+    # deleted from docio; the benchmark's layer list drops it when the benchmark next changes
+    assert set(missing) <= {"docio.encode_matrix"}
