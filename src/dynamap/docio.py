@@ -55,9 +55,9 @@ same ``[re, im]`` pairs the inputs use.  Identical inputs, seeds and tool
 version therefore produce byte-identical reports.  :func:`canonical_text`
 writes the same values as the ``key = value`` lines of ``--format text``.
 Both check the whole report before they format any of it, then format and
-hand it to a ``write`` callable one matrix row at a time, so a report is
-never held whole as text and a report that cannot be serialized writes
-nothing.
+hand it to a ``write`` callable one first-axis entry of an array (a matrix
+row, in any report) at a time, so a report is never held whole as text and
+one that cannot be serialized writes nothing.
 """
 
 import json
@@ -147,7 +147,8 @@ def _complex_array(node, path, shape, fast):
     With ``fast``, one ``np.array`` call converts the whole node, and its
     result is taken when it is a real or integer array of shape
     ``shape + (2,)`` with finite entries.  Anything else, valid or not,
-    goes through :func:`_walk`, which alone builds error messages.
+    goes through :func:`_walk`, which alone builds error messages.  Either
+    result is read-only over memory no one else holds, so a map keeps it.
     """
     if fast:
         try:
@@ -156,8 +157,12 @@ def _complex_array(node, path, shape, fast):
             pairs = None
         if (pairs is not None and pairs.dtype.kind in "fi" and pairs.shape == shape + (2,)
                 and np.isfinite(pairs).all()):
-            return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-    return np.array(_walk(node, path, shape), dtype=complex)
+            real = np.ascontiguousarray(pairs, dtype=float)
+            real.flags.writeable = False  # handed over: no one else holds it
+            return real.view(complex)[..., 0]
+    array = np.array(_walk(node, path, shape), dtype=complex)
+    array.flags.writeable = False  # handed over: no one else holds it
+    return array
 
 
 def _positive_int(node, path):
@@ -347,9 +352,9 @@ def _template(shape) -> str:
 
 
 def _plan(value, out):
-    """Append the pieces of ``value`` to ``out``: ready strings, and
-    ``(real, row_ndim)`` for arrays larger than one matrix row, which are
-    formatted later.  Every check of the report happens here."""
+    """Append the pieces of ``value`` to ``out``: ready strings, and the
+    :func:`_real_parts` array of each array of more than one row, formatted
+    later.  Every check of the report happens here."""
     if value is None:
         out.append("null")
     elif isinstance(value, (bool, np.bool_)):
@@ -360,9 +365,8 @@ def _plan(value, out):
         real = _real_parts(value)
         if not np.isfinite(real).all():
             raise ValueError(f"cannot serialize non-finite floats: {value}")
-        row_ndim = 2 if np.iscomplexobj(value) else 1  # a complex row keeps its pair axis
-        if real.ndim > row_ndim and real.size:
-            out.append((real, row_ndim))
+        if real.ndim > 1 + np.iscomplexobj(value) and real.size:  # a complex row has 2 axes
+            out.append(real)
         else:
             out.append(_template(real.shape) % tuple(real.ravel().tolist()))
     elif isinstance(value, str):
@@ -392,34 +396,24 @@ def _sorted_keys(mapping) -> list:
 
 
 def _write(plan, write):
-    """Format ``plan`` and pass it to ``write`` in chunks: each row of a
-    deferred array is one chunk, together with the small strings written
-    since the previous row.  Without ``write``, returns the joined text."""
+    """Format ``plan`` and pass it to ``write`` in chunks: each first-axis
+    entry of a deferred array is one chunk, together with the small strings
+    written since the previous entry.  Without ``write``, returns the joined text."""
     chunks = None
     if write is None:
         chunks = []
         write = chunks.append
     pending = []
-
-    def rows(real, row_ndim, template):
-        if real.ndim == row_ndim:
-            pending.append(template % tuple(real.ravel().tolist()))
-            write("".join(pending))
-            pending.clear()
-            return
-        pending.append("[")
-        for i, sub in enumerate(real):
-            if i:
-                pending.append(",")
-            rows(sub, row_ndim, template)
-        pending.append("]")
-
     for item in plan:
         if isinstance(item, str):
             pending.append(item)
-        else:
-            real, row_ndim = item
-            rows(real, row_ndim, _template(real.shape[-row_ndim:]))
+            continue
+        template = _template(item.shape[1:])
+        for i, entry in enumerate(item):
+            pending.append(("," if i else "[") + template % tuple(entry.ravel().tolist()))
+            write("".join(pending))
+            pending.clear()
+        pending.append("]")
     if pending:
         write("".join(pending))
     return None if chunks is None else "".join(chunks)
@@ -432,10 +426,10 @@ def canonical_json(value, write=None):
     :func:`_real_parts` encoding.  The whole of ``value`` is checked first
     (non-finite floats raise ``ValueError``; non-``str`` keys and unknown
     types raise ``TypeError``), so a failure writes nothing.  The text is
-    then formatted one matrix row at a time and passed to ``write`` in
-    chunks of about one row, so writing a report needs memory for one
-    row of its text, not all of it.  Without ``write``, the text is
-    returned as one string.
+    then formatted and passed to ``write`` in chunks, one first-axis entry
+    of an array (a matrix row, in any report) each, so writing a report
+    needs memory for one row of its text, not all of it.  Without
+    ``write``, the text is returned as one string.
     """
     plan = []
     _plan(value, plan)

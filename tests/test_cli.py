@@ -1186,16 +1186,22 @@ def test_serialization_checks_the_whole_report_before_the_first_write():
             assert chunks == []
 
 
-def test_canonical_json_writes_a_matrix_one_row_at_a_time():
-    from dynamap.docio import canonical_json
+@pytest.mark.parametrize("render", ["json", "text"])
+@pytest.mark.parametrize("entries", ["complex", "real"])
+def test_canonical_json_writes_a_matrix_one_row_at_a_time(entries, render):
+    from dynamap.docio import canonical_json, canonical_text
 
     rng = np.random.default_rng(9)
-    matrix = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    matrix = rng.standard_normal((64, 64))
+    if entries == "complex":
+        matrix = matrix + 1j * rng.standard_normal((64, 64))
+    renderer, value, key = ((canonical_json, matrix, "") if render == "json"
+                            else (canonical_text, {"m": matrix}, "m = "))
     chunks = []
-    canonical_json(matrix, chunks.append)
-    assert len(chunks) > 64
-    # each chunk is at most one row's text and the bracket or comma before it
-    assert max(map(len, chunks)) <= 1 + max(len(canonical_json(row)) for row in matrix)
+    renderer(value, chunks.append)
+    assert len(chunks) > 64 and "".join(chunks) == renderer(value)
+    # each chunk is at most one row's text, the bracket or comma before it and the key
+    assert max(map(len, chunks)) <= len(key) + 1 + max(len(canonical_json(row)) for row in matrix)
 
 
 def test_kraus_and_choi_documents_of_one_map_decide_alike_at_the_rounding_floor(

@@ -455,6 +455,38 @@ def test_compact_matrix_parse_holds_one_matrix_and_keeps_it():
     assert peak < 2 * unit
 
 
+@pytest.mark.parametrize("walked", [False, True], ids=["whole_array", "walker"])
+@pytest.mark.parametrize("name", ["ncp_family_05_choi.json", "amplitude_damping_kraus.json"])
+def test_full_parse_hands_its_array_over_uncopied(name, walked):
+    # the indented fixtures take the full path; a true anywhere walks every array
+    raw = (Path(__file__).parent / "fixtures" / name).read_bytes()
+    if walked:
+        raw = raw.replace(b"{", b'{"note": true,', 1)
+    assert docio._matrix_document(raw) is None
+    complex_array = docio._complex_array
+    returned = []
+
+    def recording(*args):
+        returned.append(complex_array(*args))
+        return returned[-1]
+
+    with mock.patch.object(docio, "_complex_array", recording):
+        linear_map = parse_document(raw).linear_map
+    held = linear_map.choi if linear_map.kraus is None else linear_map.kraus.operators
+    assert np.shares_memory(held, returned[0]) and not held.flags.writeable
+
+
+def test_parsed_document_kraus_is_its_maps_kraus_set():
+    # perfbench's size sweep dilates ``doc.kraus``
+    from dynamap.dilation import kraus_to_unitary
+
+    fixtures = Path(__file__).parent / "fixtures"
+    doc = parse_document((fixtures / "amplitude_damping_kraus.json").read_bytes())
+    assert doc.kraus is doc.linear_map.kraus is not None
+    assert parse_document((fixtures / "ncp_family_05_choi.json").read_bytes()).kraus is None
+    assert kraus_to_unitary(doc.kraus, doc.tol).unitary.shape == (4, 4)
+
+
 def test_huge_dim_compact_document_is_refused_before_anything_of_its_size():
     raw = b'{"kind":"choi","dim":100000,"data":[[[1,0]]]}'
     tracemalloc.start()

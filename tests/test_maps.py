@@ -13,13 +13,14 @@ from dynamap.channels import (
     matrix_unit,
     transpose_map,
 )
-from dynamap.cpsplit import cp_split
+from dynamap.cpsplit import CPSplit, cp_split
 from dynamap.errors import DimensionMismatch, NonHermitianChoi
 from dynamap.channels import amplitude_damping_kraus
 from dynamap.docio import parse_document
+from dynamap.extension import ExtendedState, apply_sector_map, dimension_report
 from dynamap.generators import random_cptp_kraus, random_density_matrix, random_tp_map
 from dynamap import linalg, maps
-from dynamap.linalg import ToleranceConfig, sign_counts
+from dynamap.linalg import DEFAULT_TOL, ToleranceConfig, sign_counts
 from dynamap.maps import (
     KrausSet,
     LinearMap,
@@ -573,6 +574,38 @@ def test_linear_map_rejects_bad_shapes():
         LinearMap(np.zeros((3, 3)))  # side not a perfect square
     with pytest.raises(DimensionMismatch):
         LinearMap(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: apply_map(identity_map(2), np.ones(4)),
+     DimensionMismatch, "expected a matrix, got array of ndim 1"),
+    (lambda: LinearMap(np.zeros((2, 2, 2))),
+     DimensionMismatch, "expected a matrix, got array of ndim 3"),
+    (lambda: linalg.partial_trace(np.zeros((2, 4)), (2, 2), "a"),
+     DimensionMismatch, "expected a square matrix, got shape (2, 4)"),
+    (lambda: linalg.partial_trace(np.eye(4), (2, 2), "c"),
+     ValueError, "which must be 'a' or 'b', got 'c'"),
+    (lambda: from_a_form(np.eye(3)),
+     DimensionMismatch, "expected a square matrix with square side, got (3, 3)"),
+    (lambda: apply_sector_map(cp_split(identity_map(2)), ExtendedState(np.eye(3), None)),
+     DimensionMismatch, "state dim 3 does not match split dim 2"),
+    (lambda: dimension_report(CPSplit(identity_map(2), kraus_to_map(KrausSet(np.ones((5, 2, 2)))),
+                                      kraus_to_map(KrausSet(np.zeros((0, 2, 2)))), DEFAULT_TOL)),
+     ValueError, "canonical operator count exceeds the dimension bound"),
+    (lambda: depolarizing_map(1.5), ValueError, "p must lie in [0, 1], got 1.5"),
+    (lambda: amplitude_damping_kraus(-0.1), ValueError, "gamma must lie in [0, 1], got -0.1"),
+    (lambda: matrix_unit(2, 2, 0), DimensionMismatch, "indices (2, 0) out of range for dim 2"),
+], ids=["apply_map_vector", "linear_map_3d", "partial_trace_non_square",
+        "partial_trace_which", "from_a_form_side", "sector_map_dim", "dimension_bound",
+        "depolarizing_p", "damping_gamma", "matrix_unit_index"])
+def test_input_checks_raise_their_error_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_linear_map_repr_names_its_dim():
+    assert repr(identity_map(2)) == "LinearMap(dim=2)"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
