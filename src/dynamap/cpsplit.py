@@ -34,7 +34,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, SingularJ
-from .linalg import DEFAULT_TOL, ToleranceConfig, max_frob, sign_counts, spectral_power
+from .linalg import (
+    DEFAULT_TOL, ToleranceConfig, max_frob, sign_counts, spectral_power, within_rounding,
+)
 from .maps import LinearMap, apply_map, kraus_to_map, require_tp, sign_split
 from .generators import random_complex, random_density_matrix, seeded_stack
 
@@ -45,6 +47,12 @@ class CPSplit:
     ``kraus`` are its two Kraus families, and the ``tol`` that made it, which
     judges every verdict on the split (:func:`verify_annihilation`,
     :func:`trace_functionals`, :func:`~dynamap.extension.sector_choi_report`).
+    The negative part's Choi matrix is its Kraus sum.  The positive part's
+    is ``source.choi + negative_part.choi`` (``source.choi`` itself, shared,
+    when there is no negative part) when the eigenvalues cut as zero and
+    the source's anti-Hermitian part are both at the rounding floor of the
+    spectrum, else its Kraus sum; either way equal to its Kraus sum within
+    rounding.
 
     The rest is derived from the parts on first use and cached.
     ``plus_functional`` and ``minus_functional`` are the transposed output
@@ -172,8 +180,19 @@ def split_from_eigensystem(
     """
     if len(vectors) != m.dim ** 2:  # sign_split reads the operator side off this length
         raise DimensionMismatch(f"eigenvector length {len(vectors)} does not match dim {m.dim}")
-    positive_part, negative_part = (kraus_to_map(k) for k in sign_split(values, vectors, tol))
-    return CPSplit(m, positive_part, negative_part, tol)
+    positive, negative = sign_split(values, vectors, tol)
+    negative_part = kraus_to_map(negative)
+    # source = positive - negative + (the values cut as zero) + (its
+    # anti-Hermitian part, half of B - B^dag, which eigh does not read):
+    # with both at the rounding floor, source + negative is the positive part
+    band = values[len(positive) : len(values) - len(negative)]
+    if not within_rounding(values, max(np.abs(band).max(initial=0.0), m._hermiticity[0] / 2)):
+        return CPSplit(m, kraus_to_map(positive), negative_part, tol)
+    choi = m.choi
+    if len(negative):
+        choi = m.choi + negative_part.choi
+        choi.flags.writeable = False  # handed over: no one else holds it
+    return CPSplit(m, LinearMap(choi, positive), negative_part, tol)
 
 
 def verify_annihilation(split: CPSplit, samples: int = 20, seed: int = 0) -> AnnihilationReport:

@@ -166,6 +166,13 @@ def sign_counts(values, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, int]:
 _FLOOR = ToleranceConfig(zero_eig_rel=np.finfo(float).tiny)  # zero_cut is then its floor
 
 
+def within_rounding(values, residual: float) -> bool:
+    """Whether ``residual``, the norm of a perturbation of a matrix with
+    spectrum ``values``, is within that spectrum's rounding floor: at most
+    :func:`zero_cut` at its floor, ``len(values) * eps * max|values|``."""
+    return residual <= zero_cut(values, _FLOOR)
+
+
 def gram_eigensystem(rows: np.ndarray):
     """Eigensystem of ``C = sum_i v_i v_i^dag`` over the ``k`` rows ``v_i`` of
     ``rows`` (side ``n``, ``k < n``), solved on the ``k x k`` Gram matrix.

@@ -60,10 +60,10 @@ class LinearMap:
     under its tolerance.
     ``choi`` is read-only and kept by :func:`_frozen`, so no cache can go
     stale; :func:`kraus_to_map`, :func:`from_a_form` and the document parser
-    hand over the matrix they built uncopied.  ``kraus`` is the
-    :class:`KrausSet` whose ``weighted_choi`` is ``choi`` (kept by
-    reference), or ``None``; below ``dim**2`` operators the spectrum is
-    solved on its Gram matrix.
+    hand over the matrix they built uncopied.  ``kraus`` is a
+    :class:`KrausSet` whose ``weighted_choi`` equals ``choi`` within
+    rounding (kept by reference), or ``None``; below ``dim**2`` operators
+    the spectrum is solved on its Gram matrix.
     """
 
     def __init__(self, choi, kraus=None):

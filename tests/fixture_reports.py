@@ -23,11 +23,17 @@ of those documents are written instead, under the same file names.
 
 With ``--diff``, two such directories are compared report by report, for a
 change that moves report bytes on purpose.  Each line names a report file
-and what moved in it: ``only in OLD_DIR`` (or ``NEW_DIR``); the changed exit
-and stderr lines as ``- old`` / ``+ new``; the dotted key of every JSON
-value that differs (a key present on one side only counts as differing); and
-the changed lines of a report that is not JSON, such as the ``--format text``
-ones.  The exit status is 1 when anything moved and 0 otherwise.
+and what moved in it.  A moved number, or array of numbers, of a JSON
+report is its dotted key and its largest absolute change, ``max |change|
+6.8e-16``.  Every other move is marked ``!``: a file ``only in OLD_DIR``
+(or ``NEW_DIR``), the changed exit and stderr lines as ``- old`` / ``+
+new``, the dotted key of any other moved JSON value (a boolean, a string,
+an integer on both sides, a null, a changed shape or type) or of a key
+present on one side only, a report whose bytes alone moved, and the changed
+lines of a report that is not JSON, such as the ``--format text`` ones
+(their JSON twins size the same values).  A last line counts the files,
+the numeric moves with the largest change, and the marked moves.  The exit
+status is 1 when anything moved and 0 otherwise.
 """
 
 import contextlib
@@ -95,49 +101,75 @@ def _changed_lines(old, new):
             yield from (f"+ {line}" for line in b[j1:j2])
 
 
-_MISSING = object()
+def _flatten(value, path=""):
+    """``(dotted key, leaf)`` of every non-object value under ``value``."""
+    if not isinstance(value, dict):
+        yield path, value
+        return
+    for key, item in value.items():
+        yield from _flatten(item, f"{path}.{key}" if path else key)
 
 
-def _changed_keys(old, new, path=""):
-    """Dotted keys of the JSON leaves (non-objects) whose values differ."""
-    if isinstance(old, dict) and isinstance(new, dict):
-        for key in sorted(old.keys() | new.keys()):
-            yield from _changed_keys(old.get(key, _MISSING), new.get(key, _MISSING),
-                                     f"{path}.{key}" if path else key)
-    elif old != new:
-        yield path
-
-
-def _json_object(text):
+def _json_leaves(report):
+    """``{dotted key: value}`` of a JSON report, or ``None`` for other text."""
     try:
-        value = json.loads(text)
+        value = json.loads(report)
     except ValueError:
         return None
-    return value if isinstance(value, dict) else None
+    return dict(_flatten(value)) if isinstance(value, dict) else None
 
 
-def diff_reports(old_dir, new_dir) -> list:
-    """The lines ``--diff`` prints for two report directories."""
+def _change(old, new):
+    """The largest absolute change between two moved numbers (a float on
+    at least one side), or two equally long lists of them; else ``None``."""
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        changes = [_change(a, b) for a, b in zip(old, new) if a != b]
+        return None if None in changes else max(changes)
+    if {type(old), type(new)} <= {int, float} and float in (type(old), type(new)):
+        return abs(new - old)
+    return None
+
+
+def _moves(old_dir, new_dir):
+    """``(report file, what moved, |change| or None)`` for every move
+    between two report directories; ``None`` marks a non-numeric move."""
     old_dir, new_dir = Path(old_dir), Path(new_dir)
-    lines = []
     for name in sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()}):
         old_file, new_file = old_dir / name, new_dir / name
         if not (old_file.exists() and new_file.exists()):
-            lines.append(f"{name}: only in {old_dir if old_file.exists() else new_dir}")
+            yield name, f"only in {old_dir if old_file.exists() else new_dir}", None
             continue
         # the exit and stderr lines, then the report
         old_head, _, old_out = old_file.read_text().partition("--- stdout\n")
         new_head, _, new_out = new_file.read_text().partition("--- stdout\n")
-        moved = list(_changed_lines(old_head, new_head))
-        old_json, new_json = _json_object(old_out), _json_object(new_out)
-        if old_json is not None and new_json is not None:
-            moved += _changed_keys(old_json, new_json)
-            if old_out != new_out and old_json == new_json:
-                moved.append("(same values, different bytes)")
-        else:
-            moved += _changed_lines(old_out, new_out)
-        lines += (f"{name}: {item}" for item in moved)
-    return lines
+        yield from ((name, line, None) for line in _changed_lines(old_head, new_head))
+        old, new = _json_leaves(old_out), _json_leaves(new_out)
+        if old is None or new is None:
+            yield from ((name, line, None) for line in _changed_lines(old_out, new_out))
+            continue
+        for key in sorted(old.keys() | new.keys()):
+            if key not in new or key not in old:
+                yield name, f"{key} (only in {old_dir if key in old else new_dir})", None
+            elif old[key] != new[key]:
+                yield name, key, _change(old[key], new[key])
+        if old_out != new_out and old == new:
+            yield name, "(same values, different bytes)", None
+
+
+def diff_reports(old_dir, new_dir) -> list:
+    """The lines ``--diff`` prints for two report directories."""
+    moves = list(_moves(old_dir, new_dir))
+    if not moves:
+        return []
+    lines = [f"{name}: {what} max |change| {delta:.2g}" if delta is not None
+             else f"{name}: ! {what}" for name, what, delta in moves]
+    deltas = [delta for _, _, delta in moves if delta is not None]
+    largest = f"{max(deltas):.2g}" if deltas else "none"
+    return lines + [
+        f"{len({name for name, _, _ in moves})} report files moved; "
+        f"{len(deltas)} numeric moves, largest |change| {largest}; "
+        f"{len(moves) - len(deltas)} marked !"
+    ]
 
 
 if __name__ == "__main__":

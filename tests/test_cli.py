@@ -343,6 +343,24 @@ def _write_doc(tmp_path, doc):
     return str(path)
 
 
+@pytest.mark.parametrize("variant", ["literal", "symmetric"])
+def test_verify_fails_when_the_zero_cut_drops_eigenvalues(capsys, tmp_path, variant):
+    # a --tol-eig that cuts the smallest eigenvalue of each sign truncates the
+    # split, and the reconstruction sees the truncation
+    from dynamap.generators import random_tp_map
+
+    m = random_tp_map(3, np.random.default_rng(5))
+    values = m.eigenvalues
+    rel = 1.01 * max(values[values > 0].min(), -values[values < 0].max()) / np.abs(values).max()
+    path = _write_doc(tmp_path, {"kind": "choi", "dim": 3, "data": m.choi})
+    code, rep, err = run_json(capsys, "verify", path, "--tol-eig", repr(float(rel)),
+                              "--variant", variant)
+    assert code == 3 and err.startswith("error: reconstruction residual")
+    assert rep["dimensions"]["dilation_dim"] <= 3 * 7
+    assert rep["reconstruction"]["passed"] is False
+    assert rep["reconstruction"]["max_residual"] > 1e-3
+
+
 def test_decompose_eigendecomposes_source_choi_once(capsys, monkeypatch, tmp_path):
     from dynamap.generators import random_tp_map
 
@@ -880,13 +898,40 @@ def test_fixture_reports_diff_names_what_moved(tmp_path):
     (new / "spaced.txt").write_text(head + '{"a": 1}')
     (new / "extra.txt").write_text(head)
     assert fixture_reports.diff_reports(old, new) == [
-        f"extra.txt: only in {new}",
-        "m.json.txt: a.c", "m.json.txt: added", "m.json.txt: d", "m.json.txt: gone",
-        "m.text.txt: - exit: 0", "m.text.txt: + exit: 3", "m.text.txt: + error: x",
-        "m.text.txt: - a.c = 2", "m.text.txt: + a.c = 5",
-        "spaced.txt: (same values, different bytes)",
+        f"extra.txt: ! only in {new}",
+        "m.json.txt: ! a.c", f"m.json.txt: ! added (only in {new})",
+        "m.json.txt: ! d", f"m.json.txt: ! gone (only in {old})",
+        "m.text.txt: ! - exit: 0", "m.text.txt: ! + exit: 3", "m.text.txt: ! + error: x",
+        "m.text.txt: ! - a.c = 2", "m.text.txt: ! + a.c = 5",
+        "spaced.txt: ! (same values, different bytes)",
+        "4 report files moved; 0 numeric moves, largest |change| none; 11 marked !",
     ]
     assert fixture_reports.diff_reports(old, old) == []
+
+
+def test_fixture_reports_diff_gives_the_size_of_numeric_moves(tmp_path):
+    fixture_reports = _fixture_reports()
+    old, new = tmp_path / "old", tmp_path / "new"
+    for directory in (old, new):
+        directory.mkdir()
+    head = "exit: 0\n--- stderr\n--- stdout\n"
+    (old / "r.json.txt").write_text(head + json.dumps({
+        "a": {"x": 0.5, "m": [[1, 0.25], [0, 2]], "n": 3, "s": "u", "z": None},
+        "f": 1.0000000000000002, "v": [1.5, 2], "w": [0.5], "same": 7,
+    }))
+    (new / "r.json.txt").write_text(head + json.dumps({
+        "a": {"x": 0.75, "m": [[1, 0.125], [1e-16, 2]], "n": 4, "s": "v", "z": 0.5},
+        "f": 1, "v": [1.5, 2, 3], "w": 0.5, "same": 7,
+    }))
+    assert fixture_reports.diff_reports(old, new) == [
+        "r.json.txt: a.m max |change| 0.12",
+        "r.json.txt: ! a.n", "r.json.txt: ! a.s",
+        "r.json.txt: a.x max |change| 0.25",
+        "r.json.txt: ! a.z",
+        "r.json.txt: f max |change| 2.2e-16",
+        "r.json.txt: ! v", "r.json.txt: ! w",
+        "1 report files moved; 3 numeric moves, largest |change| 0.25; 5 marked !",
+    ]
 
 
 def test_compact_fixtures_report_as_their_pretty_originals(tmp_path, monkeypatch):

@@ -22,8 +22,8 @@ from dynamap.generators import (
     random_tp_map,
     random_tp_map_with_kernel,
 )
-from dynamap.linalg import ToleranceConfig, frob, partial_trace, zero_cut
-from dynamap.maps import LinearMap, apply_map, check_tp, kraus_to_map
+from dynamap.linalg import ToleranceConfig, frob, hermiticity_residual, partial_trace, zero_cut
+from dynamap.maps import LinearMap, apply_map, check_tp, kraus_to_map, weighted_choi
 
 
 def test_split_identity_map():
@@ -368,6 +368,76 @@ def test_cp_split_retains_one_eigenvector_matrix():
     # the cached eigenvectors and the two part Choi matrices; a second copy
     # of the eigenvectors in the Kraus families retained about 4
     assert retained < 3.5 * unit
+
+
+def _split_sources():
+    rng = np.random.default_rng(23)
+    return [  # three dense eigh routes, then two Gram routes (k < N^2 Kraus operators)
+        random_tp_map(3, rng), random_tp_map_with_kernel(4, rng), transpose_map(3),
+        amplitude_damping_map(0.3), kraus_to_map(random_cptp_kraus(3, 4, rng)),
+    ]
+
+
+@pytest.mark.parametrize("m", _split_sources(), ids=["generic", "kernel", "transpose",
+                                                     "amplitude_damping", "gram"])
+def test_positive_part_is_the_source_plus_the_negative_part(m):
+    s = cp_split(m)
+    pos, neg = s.positive_part, s.negative_part
+    assert pos.kraus is not None and not pos.choi.flags.writeable
+    if s.has_negative_part:
+        assert np.array_equal(pos.choi, m.choi + neg.choi)
+    else:  # the source's own read-only matrix, not a copy
+        assert pos.choi is m.choi
+    # the Kraus family it keeps sums to the same Choi matrix within rounding
+    ops, weights = pos.kraus.operators, pos.kraus.weights
+    assert np.abs(pos.choi - weighted_choi(ops, weights)).max() <= 1e-13
+    assert np.array_equal(neg.choi, weighted_choi(neg.kraus.operators, neg.kraus.weights))
+
+
+def _cut_of_both_signs(m):
+    """A tolerance whose zero cut takes in the smallest positive and the
+    smallest negative Choi eigenvalue of ``m``."""
+    values = m.eigenvalues
+    smallest = max(values[values > 0].min(), -values[values < 0].max())
+    return ToleranceConfig(zero_eig_rel=1.01 * smallest / np.abs(values).max())
+
+
+def test_values_cut_as_zero_stay_out_of_the_positive_part():
+    m = random_tp_map(3, np.random.default_rng(5))
+    s = cp_split(m, _cut_of_both_signs(m))
+    pos, neg = s.positive_part, s.negative_part
+    assert s.n_positive + s.n_negative <= 7 and s.has_negative_part
+    # the positive family's own sum, CP to rounding, not source + negative
+    assert np.array_equal(pos.choi, weighted_choi(pos.kraus.operators, pos.kraus.weights))
+    assert np.linalg.eigvalsh(pos.choi)[0] > -1e-14
+    assert frob(pos.choi - neg.choi - m.choi) > 1e-3
+
+
+def test_an_anti_hermitian_source_residual_stays_out_of_the_positive_part():
+    rng = np.random.default_rng(6)
+    m = random_tp_map(3, rng)
+    k = random_complex((9, 9), rng)
+    m = LinearMap(m.choi + 1e-12 * (k - k.conj().T))  # Hermitian within tolerance
+    s = cp_split(m)
+    pos = s.positive_part
+    assert np.array_equal(pos.choi, weighted_choi(pos.kraus.operators, pos.kraus.weights))
+    assert hermiticity_residual(pos.choi) < 1e-14 < 1e-12 < m._hermiticity[0]
+
+
+def test_cp_split_builds_no_positive_kraus_sum():
+    unit = 16 ** 4 * 16  # one complex N^2 x N^2 matrix at N=16
+    m = random_tp_map_with_kernel(16, np.random.default_rng(19))
+    m.eigensystem
+    tracemalloc.start()
+    try:
+        s = cp_split(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.n_positive > 200 and s.has_negative_part
+    # the two part Choi matrices and a Hermiticity temporary; the Kraus sum
+    # of the positive family, with its two N^2 x l_plus factors, peaked near 3
+    assert peak < 2.5 * unit
 
 
 @pytest.mark.parametrize("kraus", [False, True])

@@ -313,7 +313,9 @@ def test_sector_report_is_judged_under_the_split_tolerance():
     tight = ToleranceConfig(residual_abs=1e-300)
     s = cp_split(transpose_map(3), tight)
     assert sector_choi_report(s, "literal").plus_min_eig is None
-    assert sector_choi_report(cp_split(transpose_map(3)), "literal").plus_min_eig == 0.0
+    # under the default tolerance a number: the PSD plus sector's zero eigenvalue
+    plus_min = sector_choi_report(cp_split(transpose_map(3)), "literal").plus_min_eig
+    assert isinstance(plus_min, float) and abs(plus_min) <= 4 * np.finfo(float).eps
     # a third argument is accepted only as the split's own tolerance
     assert sector_choi_report(s, "literal", tight) == sector_choi_report(s, "literal")
     with pytest.raises(ValueError, match="tolerance that made it"):
@@ -347,6 +349,8 @@ def test_sandwich_a_forms_match_the_kron_product(variant):
         for part, (left, right), want in zip(parts, factors, _kron_a_forms(s, variant)):
             got = _sector_choi(part, left, right)
             assert np.abs(got - from_a_form(want).choi).max() <= 1e-14
+            if variant == "literal":  # None, as sector_choi_report passes it, is the identity
+                assert np.array_equal(_sector_choi(part, left, None), got)
 
 
 _DIMS = st.integers(2, 5)
