@@ -140,9 +140,8 @@ def reconstruct(split: CPSplit, rho, variant: str = "literal"):
     return result, max_frob(result - apply_map(split.source, rho))
 
 
-def _sector_choi(part: LinearMap, left: np.ndarray, right) -> np.ndarray:
-    """Choi matrix of the sector map ``X -> part(left @ X @ right)``, with
-    ``right`` ``None`` for the identity.
+def _sector_choi(part: LinearMap, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Choi matrix of the sector map ``X -> part(left @ X @ right)``.
 
     Its block ``[a, :, b, :]`` is ``left.T @ P_ab @ right.T`` for the block
     ``P_ab`` of the part's Choi matrix, so one stacked product over the
@@ -152,11 +151,7 @@ def _sector_choi(part: LinearMap, left: np.ndarray, right) -> np.ndarray:
     n = part.dim
     choi = np.empty((n, n, n, n), dtype=complex)
     blocks = part.choi4.transpose(0, 2, 1, 3)  # [a, b, :, :]
-    out = choi.transpose(0, 2, 1, 3)
-    if right is None:
-        np.matmul(left.T, blocks, out=out)
-    else:
-        np.matmul(left.T @ blocks, right.T, out=out)
+    np.matmul(left.T @ blocks, right.T, out=choi.transpose(0, 2, 1, 3))
     return choi.reshape(n * n, n * n)
 
 
@@ -184,12 +179,12 @@ class SectorChoiReport:
     full_min_eig: float | None
 
 
-def _sector_min_eig(variant: str, part: LinearMap, left: np.ndarray, right) -> float:
+def _sector_min_eig(variant: str, part: LinearMap, left: np.ndarray, right: np.ndarray) -> float:
     """Minimum eigenvalue of the Choi matrix of ``X -> part(left @ X @ right)``."""
     if variant == "symmetric" and len(part.kraus) < part.dim ** 2:
         # a sum of one PSD rank-one term per operator M_i @ root: rank < N^2
         return 0.0
-    return float(np.linalg.eigh(_sector_choi(part, left, right))[0][0])
+    return float(np.linalg.eigvalsh(_sector_choi(part, left, right))[0])
 
 
 def sector_choi_report(
@@ -207,8 +202,6 @@ def sector_choi_report(
     if tol not in (None, split.tol):
         raise ValueError("a split is judged under the tolerance that made it")
     factors = _sector_factors(split, variant, inverse=True)
-    if variant == "literal":  # the right factor is the identity: no product with it
-        factors = [(left, None) for left, _ in factors]
     sectors = list(zip((split.positive_part, split.negative_part), factors))
     sectors = sectors[: 2 if split.has_negative_part else 1]
     measured = []

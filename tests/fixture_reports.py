@@ -3,6 +3,7 @@
 Usage::
 
     PYTHONPATH=src python tests/fixture_reports.py [--compact] OUT_DIR
+    PYTHONPATH=src python tests/fixture_reports.py --bench SEED OUT_DIR
     python tests/fixture_reports.py --diff OLD_DIR NEW_DIR
 
 Each ``tests/fixtures`` document is run in process through ``cli.main``
@@ -20,6 +21,16 @@ matrix parse.  With ``--compact``, each fixture is first re-encoded
 without whitespace (``json.dumps`` with ``separators=(",", ":")``, which
 keeps every number's value) into a temporary directory, and the reports
 of those documents are written instead, under the same file names.
+
+With ``--bench``, the reports are of the benchmark's traffic instead: each
+workload of ``perfbench/workloads.py`` is built at SEED, its documents are
+written to a temporary directory, and each call of its cycle is run there
+in the JSON and the text format.  One file per run,
+``<workload>.<call index>.<command>.<document>.txt`` (``<command>-text``
+for the text format), holds the exit code, stderr and stdout as above.
+The documents are a pure function of the seed, so two checkouts given the
+same SEED are compared with ``diff -r`` or ``--diff``.  Nothing under
+``perfbench/`` is written.
 
 With ``--diff``, two such directories are compared report by report, for a
 change that moves report bytes on purpose.  Each line names a report file
@@ -45,6 +56,7 @@ import tempfile
 from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 JSON_COMMANDS = {
     "decompose": ["decompose"],
     "verify-literal": ["verify", "--variant", "literal"],
@@ -69,6 +81,13 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _write_report(path, argv) -> int:
+    """Run one CLI call into the report file ``path``; returns its exit code."""
+    code, stdout, stderr = run(argv)
+    path.write_text(f"exit: {code}\n--- stderr\n{stderr}--- stdout\n{stdout}")
+    return code
+
+
 def write_reports(out_dir, compact=False) -> dict:
     """Write every fixture x command report under ``out_dir``, of the
     compactly re-encoded fixtures with ``compact``; returns ``{file name:
@@ -84,12 +103,36 @@ def write_reports(out_dir, compact=False) -> dict:
                 doc = json.loads(fixture.read_bytes())
                 source.write_text(json.dumps(doc, separators=(",", ":")))
             for name, args in COMMANDS.items():
-                code, stdout, stderr = run([args[0], str(source), *args[1:]])
                 target = f"{fixture.stem}.{name}.txt"
-                (out_dir / target).write_text(
-                    f"exit: {code}\n--- stderr\n{stderr}--- stdout\n{stdout}"
-                )
-                codes[target] = code
+                codes[target] = _write_report(out_dir / target, [args[0], str(source), *args[1:]])
+    return codes
+
+
+def write_bench_reports(seed, out_dir, names=None) -> dict:
+    """Write the report of every call of the benchmark workloads ``names``
+    (all of them by default) built at ``seed``, in both formats, under
+    ``out_dir``; returns ``{file name: (exit code, the call's expected exit
+    code)}``."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    out_dir = Path(out_dir).resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    codes = {}
+    # the documents are named relative to the directory that holds them, so
+    # no temporary path reaches a report
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name in names or workloads.WORKLOADS:
+            workload = workloads.build(name, seed)
+            for doc in workload.docs:
+                Path(f"{doc.name}.json").write_bytes(doc.raw)
+            for i, call in enumerate(workload.calls):
+                argv = [call.command, f"{call.doc.name}.json", *call.flags]
+                for suffix, extra in (("", []), ("-text", ["--format", "text"])):
+                    target = f"{name}.{i:02d}.{call.command}{suffix}.{call.doc.name}.txt"
+                    codes[target] = (_write_report(out_dir / target, argv + extra), call.exit_code)
     return codes
 
 
@@ -181,6 +224,11 @@ if __name__ == "__main__":
         for line in moved:
             print(line)
         sys.exit(1 if moved else 0)
+    if args[:1] == ["--bench"]:
+        if len(args) != 3:
+            sys.exit(__doc__)
+        write_bench_reports(int(args[1]), args[2])
+        sys.exit()
     compact = args[:1] == ["--compact"]
     if len(args) != 1 + compact:
         sys.exit(__doc__)

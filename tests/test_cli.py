@@ -882,6 +882,17 @@ def test_fixture_reports_cover_every_fixture_and_command(tmp_path):
     assert report.startswith("exit: 0\n--- stderr\n--- stdout\nannihilation.")
 
 
+def test_fixture_reports_bench_runs_each_call_with_its_expected_exit_code(tmp_path):
+    fixture_reports = _fixture_reports()
+    codes = fixture_reports.write_bench_reports(1, tmp_path, ["small_cli_mix"])
+    assert len(codes) == 2 * 20  # the workload's 20 calls, in JSON and in text
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(codes)
+    for target, (code, expected) in codes.items():
+        assert code == expected, target
+        assert (tmp_path / target).read_text().startswith(f"exit: {code}\n--- stderr\n")
+    assert {expected for _, expected in codes.values()} == {0, 1, 2, 3}
+
+
 def test_fixture_reports_diff_names_what_moved(tmp_path):
     fixture_reports = _fixture_reports()
     old, new = tmp_path / "old", tmp_path / "new"

@@ -349,8 +349,11 @@ def test_sandwich_a_forms_match_the_kron_product(variant):
         for part, (left, right), want in zip(parts, factors, _kron_a_forms(s, variant)):
             got = _sector_choi(part, left, right)
             assert np.abs(got - from_a_form(want).choi).max() <= 1e-14
-            if variant == "literal":  # None, as sector_choi_report passes it, is the identity
-                assert np.array_equal(_sector_choi(part, left, None), got)
+            if variant == "literal":  # the product with the identity is exact
+                n = part.dim
+                single = np.empty((n, n, n, n), dtype=complex)
+                single.transpose(0, 2, 1, 3)[...] = left.T @ part.choi4.transpose(0, 2, 1, 3)
+                assert np.array_equal(got, single.reshape(n * n, n * n))
 
 
 _DIMS = st.integers(2, 5)
@@ -413,6 +416,28 @@ def test_symmetric_sectors_below_full_rank_run_no_eigensolver(monkeypatch):
     assert literal.has_negative_part
     with pytest.raises(_Solved, match=r"\(9, 9\)"):
         sector_choi_report(literal, "literal")
+
+
+def test_sector_minima_are_solved_as_eigenvalues_only(monkeypatch):
+    from dynamap.extension import _sector_factors
+
+    rng = np.random.default_rng(16)
+    literal = cp_split(transpose_map(3))  # scalar functionals: Hermitian literal sectors
+    full_rank = cp_split(kraus_to_map(random_cptp_kraus(3, 9, rng)))
+    cases = [(literal, "literal"), (full_rank, "symmetric")]
+    want = []
+    for s, variant in cases:
+        _sector_factors(s, variant, inverse=True)  # solve and cache the N x N roots first
+        parts = (s.positive_part, s.negative_part)
+        sectors = [a for a, part in zip(_kron_a_forms(s, variant), parts) if len(part.kraus)]
+        want.append([np.linalg.eigvalsh(from_a_form(a).choi)[0] for a in sectors])
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    for (s, variant), minima in zip(cases, want):
+        rep = sector_choi_report(s, variant)
+        got = [rep.plus_min_eig, rep.minus_min_eig][: len(minima)]
+        assert None not in got
+        assert np.abs(np.subtract(got, minima)).max() <= 1e-12
+    assert len(want[0]) == 2 and len(full_rank.positive_part.kraus) == 9
 
 
 @pytest.mark.parametrize("variant", ["literal", "symmetric"])
