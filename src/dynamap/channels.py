@@ -12,8 +12,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def identity_map(dim: int) -> LinearMap:
     """The map ``rho -> rho``."""
-    v = np.eye(dim, dtype=complex).reshape(-1)
-    return LinearMap(np.outer(v, v.conj()))
+    return unitary_map(np.eye(dim))
 
 
 def unitary_map(u) -> LinearMap:
@@ -68,6 +67,7 @@ def rotation_unitary(theta: float, axis=(1.0, 1.0, 1.0)) -> np.ndarray:
     n = n / np.linalg.norm(n)
     ns = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     return np.cos(theta) * np.eye(2, dtype=complex) - 1j * np.sin(theta) * ns
+
 
 def swap_gate(dim: int = 2) -> np.ndarray:
     """Swap of two ``dim``-level factors."""

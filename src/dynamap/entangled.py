@@ -54,9 +54,6 @@ class JointPureState:
             raise ValueError(f"state norm {norm} differs from 1")
         object.__setattr__(self, "amplitudes", amps)
 
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
     def reduced_system(self) -> np.ndarray:
         ns, ne = self.dims
         a = self.amplitudes.reshape(ns, ne)
@@ -161,12 +158,12 @@ def induced_dynamics(
         raise DimensionMismatch(f"unitary shape {u.shape} does not match dims {phi.dims}")
     tol.require(NotUnitary, "unitarity", isometry_residual(u))
 
-    joint = phi.projector()
     rho_s = phi.reduced_system()
     rho_e = phi.reduced_environment()
-    correlation = joint - np.kron(rho_s, rho_e)
-
-    constant = partial_trace(u @ correlation @ u.conj().T, (ns, ne), "b")
+    # Tr_env[u |phi><phi| u^dag] is the reduced state of the evolved vector
+    evolved = (u @ phi.amplitudes).reshape(ns, ne)
+    direct = evolved @ evolved.conj().T
+    constant = direct - partial_trace(u @ np.kron(rho_s, rho_e) @ u.conj().T, (ns, ne), "b")
 
     # Choi[(a, r), (b, s)] = Tr_env[u (|r><s| (x) rho_e) u^dag][a, b]
     u4 = u.reshape(ns, ne, ns, ne)
@@ -179,7 +176,6 @@ def induced_dynamics(
     choi.flags.writeable = tp_choi.flags.writeable = False  # handed over: no one else holds them
     linear_part, tp_linear_form = LinearMap(choi), LinearMap(tp_choi)
 
-    direct = partial_trace(u @ joint @ u.conj().T, (ns, ne), "b")
     consistency = frob(apply_map(tp_linear_form, rho_s) - direct)
 
     return AffineDynamics(

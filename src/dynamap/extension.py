@@ -240,10 +240,8 @@ def dimension_report(split: CPSplit) -> DimensionReport:
     bound = n * n
     if split.n_positive + split.n_negative > bound:
         raise ValueError("canonical operator count exceeds the dimension bound")
-    dim_plus = n
-    dim_minus = n if split.has_negative_part else 0
     return DimensionReport(
-        extension_dim=dim_plus + dim_minus,
-        dilation_dim=dim_plus * split.n_positive + dim_minus * split.n_negative,
+        extension_dim=n * (1 + split.has_negative_part),
+        dilation_dim=n * (split.n_positive + split.n_negative),
         n_squared_bound=bound,
     )

@@ -49,6 +49,7 @@ status is 1 when anything moved and 0 otherwise.
 
 import contextlib
 import difflib
+import importlib
 import io
 import json
 import sys
@@ -108,21 +109,24 @@ def write_reports(out_dir, compact=False) -> dict:
     return codes
 
 
-def write_bench_reports(seed, out_dir, names=None) -> dict:
-    """Write the report of every call of the benchmark workloads ``names``
-    (all of them by default) built at ``seed``, in both formats, under
-    ``out_dir``; returns ``{file name: (exit code, the call's expected exit
-    code)}``."""
+def perfbench_module(name):
+    """Import the ``perfbench/`` module ``name``; they import each other by
+    bare name, so the directory is on ``sys.path`` while it loads."""
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.pop(0)
-    out_dir = Path(out_dir).resolve()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    codes = {}
-    # the documents are named relative to the directory that holds them, so
-    # no temporary path reaches a report
+
+
+def bench_calls(seed, names=None):
+    """Yield ``(file stem, argv, call)`` for every call of the benchmark
+    workloads ``names`` (all of them by default) built at ``seed``.
+
+    The documents are written to a temporary directory, which is the working
+    directory until the generator is closed, and ``argv`` names them
+    relative to it, so no temporary path reaches a report."""
+    workloads = perfbench_module("workloads")
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for name in names or workloads.WORKLOADS:
             workload = workloads.build(name, seed)
@@ -130,9 +134,21 @@ def write_bench_reports(seed, out_dir, names=None) -> dict:
                 Path(f"{doc.name}.json").write_bytes(doc.raw)
             for i, call in enumerate(workload.calls):
                 argv = [call.command, f"{call.doc.name}.json", *call.flags]
-                for suffix, extra in (("", []), ("-text", ["--format", "text"])):
-                    target = f"{name}.{i:02d}.{call.command}{suffix}.{call.doc.name}.txt"
-                    codes[target] = (_write_report(out_dir / target, argv + extra), call.exit_code)
+                yield f"{name}.{i:02d}.{call.command}", argv, call
+
+
+def write_bench_reports(seed, out_dir, names=None) -> dict:
+    """Write the report of every call of :func:`bench_calls` in both
+    formats under ``out_dir``; returns ``{file name: (exit code, the call's
+    expected exit code)}``."""
+    out_dir = Path(out_dir).resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    codes = {}
+    with contextlib.closing(bench_calls(seed, names)) as calls:
+        for stem, argv, call in calls:
+            for suffix, extra in (("", []), ("-text", ["--format", "text"])):
+                target = f"{stem}{suffix}.{call.doc.name}.txt"
+                codes[target] = (_write_report(out_dir / target, argv + extra), call.exit_code)
     return codes
 
 

@@ -893,6 +893,24 @@ def test_fixture_reports_bench_runs_each_call_with_its_expected_exit_code(tmp_pa
     assert {expected for _, expected in codes.values()} == {0, 1, 2, 3}
 
 
+def test_benchmark_checks_pass_on_every_workload_call():
+    # perfbench/checks.py on each call of every workload at seed 1, in
+    # process: a report field the benchmark reads breaks here first
+    fixture_reports = _fixture_reports()
+    checks = fixture_reports.perfbench_module("checks")
+    rng = np.random.default_rng(1)
+    failed, workloads = {}, set()
+    with contextlib.closing(fixture_reports.bench_calls(1)) as calls:
+        for stem, argv, call in calls:
+            code, out, err = fixture_reports.run(argv)
+            names, _ = checks.check(call, code, out.encode(), err.encode(), rng)
+            if names:
+                failed[stem] = names
+            workloads.add(stem.split(".")[0])
+    assert failed == {}
+    assert workloads == set(fixture_reports.perfbench_module("workloads").WORKLOADS)
+
+
 def test_fixture_reports_diff_names_what_moved(tmp_path):
     fixture_reports = _fixture_reports()
     old, new = tmp_path / "old", tmp_path / "new"

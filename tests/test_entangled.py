@@ -28,6 +28,7 @@ from dynamap.maps import (
     check_tp,
     choi_eigenvalues,
 )
+from oracles import induced_constant_part
 
 
 def test_joint_pure_state_validation():
@@ -233,6 +234,18 @@ def test_induced_dynamics_matches_unit_by_unit_loop(dims):
     u = haar_unitary(dims[0] * dims[1], rng)
     dyn = induced_dynamics(phi, u)
     assert np.max(np.abs(dyn.linear_part.choi - _induced_linear_choi_loop(phi, u))) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("product", [False, True], ids=["entangled", "product"])
+def test_induced_constant_part_matches_the_correlation_reference(dims, product):
+    rng = np.random.default_rng(60 + 7 * dims[0] + dims[1])
+    draw = random_product_joint_state if product else random_joint_pure_state
+    phi = draw(dims, rng)
+    u = haar_unitary(dims[0] * dims[1], rng)
+    expected = induced_constant_part(phi, u)
+    assert np.max(np.abs(induced_dynamics(phi, u).constant_part - expected)) <= 1e-12
+    assert product or np.linalg.norm(expected) > 1e-3  # the entangled draws test a nonzero part
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 3)])
