@@ -58,32 +58,22 @@ class _Parser(argparse.ArgumentParser):
         _stdout().write(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(commands) -> _Parser:
     parser = _Parser(prog="dynamap", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dynamap {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("file", help="input document path, or - for stdin")
-    common.add_argument("--tol-eig", type=float, default=None,
+    parser.add_argument("command", choices=commands, help="the subcommand to run")
+    parser.add_argument("file", help="input document path, or - for stdin")
+    parser.add_argument("--tol-eig", type=float, default=None,
                         help="override the relative zero-eigenvalue threshold")
-    common.add_argument("--tol-residual", type=float, default=None,
+    parser.add_argument("--tol-residual", type=float, default=None,
                         help="override the absolute residual tolerance")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--variant", choices=("literal", "symmetric"), default="literal",
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument("--variant", choices=("literal", "symmetric"), default="literal",
                         help="extension construction used where applicable")
-    common.add_argument("--samples", type=int, default=20,
+    parser.add_argument("--samples", type=int, default=20,
                         help="number of sampled states for randomized checks (at least 1)")
-    common.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=None,
                         help="nonnegative seed for sampled states (overrides the document seed)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (
-        ("decompose", cmd_decompose),
-        ("verify", cmd_verify),
-        ("dilate", cmd_dilate),
-        ("witness", cmd_witness),
-        ("extract", cmd_extract),
-    ):
-        p = sub.add_parser(name, parents=[common])
-        p.set_defaults(func=func)
     return parser
 
 
@@ -128,21 +118,17 @@ def _map_section(m, tol) -> dict:
 
     hp_ok, hp_res = check_hermiticity_preserving(m, tol)
     tp_ok, tp_res = check_tp(m, tol)
-    section = {
+    cp_ok, min_eig = check_cp(m, tol) if hp_ok else (None, None)
+    return {
         "dim": m.dim,
         "is_hermiticity_preserving": hp_ok,
         "hermiticity_residual": hp_res,
         "is_tp": tp_ok,
         "tp_residual": tp_res,
-        "is_cp": None,
-        "min_choi_eigenvalue": None,
-        "choi_eigenvalues": None,
+        "is_cp": cp_ok,
+        "min_choi_eigenvalue": min_eig,
+        "choi_eigenvalues": choi_eigenvalues(m, tol) if hp_ok else None,
     }
-    if hp_ok:
-        cp_ok, min_eig = check_cp(m, tol)
-        section.update(is_cp=cp_ok, min_choi_eigenvalue=min_eig,
-                       choi_eigenvalues=choi_eigenvalues(m, tol))
-    return section
 
 
 def _add_decomposition(report, doc, tol, seed, args):
@@ -303,7 +289,10 @@ def cmd_extract(report, doc, tol, seed, args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # read at call time, so a wrapper set on a module attribute cmd_<name> is called
+    commands = {"decompose": cmd_decompose, "verify": cmd_verify, "dilate": cmd_dilate,
+                "witness": cmd_witness, "extract": cmd_extract}
+    parser = _build_parser(commands)
     try:
         try:
             args = parser.parse_args(argv)
@@ -324,7 +313,7 @@ def main(argv=None) -> int:
                 "variant": args.variant,
                 "tolerances": {"zero_eig_rel": tol.zero_eig_rel, "residual_abs": tol.residual_abs},
             }
-            failure = args.func(report, doc, tol, seed, args)
+            failure = commands[args.command](report, doc, tol, seed, args)
             _emit(report, args.format)
             code = EXIT_OK if failure is None else EXIT_VERIFICATION
         if sys.stdout is not None:  # a closed stdout holds nothing to lose

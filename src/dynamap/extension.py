@@ -58,10 +58,6 @@ class ExtendedState:
     minus_block: np.ndarray | None
     dim = property(lambda self: self.plus_block.shape[-1])
 
-    @property
-    def has_minus(self) -> bool:
-        return self.minus_block is not None
-
     def block_sum(self) -> np.ndarray:
         """Partial trace over the block label."""
         if self.minus_block is None:
@@ -121,7 +117,7 @@ def apply_sector_map(split: CPSplit, state: ExtendedState, variant: str = "liter
     (pl, pr), (ml, mr) = _sector_factors(split, variant, inverse=True)
     plus = apply_map(split.positive_part, pl @ state.plus_block @ pr)
     minus = None
-    if state.has_minus:
+    if state.minus_block is not None:
         minus = apply_map(split.negative_part, ml @ state.minus_block @ mr)
     return ExtendedState(plus_block=plus, minus_block=minus)
 

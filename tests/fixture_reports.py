@@ -14,7 +14,12 @@ JSON format and again with ``--format text``.  One file per run,
 the exit code, stderr and stdout, so two checkouts are compared byte for
 byte with ``diff -r OUT_A OUT_B``.  The
 ``dynamap`` package is imported from ``PYTHONPATH``, so the same script
-reports on any checkout.
+reports on any checkout.  Without ``--compact`` it also writes one
+``argv.<name>.txt`` file, in the same layout, for each call of
+``ARGV_RUNS``: ``--version``, ``--help`` and the usage and flag errors;
+those that name a document name the ``transpose_choi`` fixture bare.
+Every mode runs with ``COLUMNS=80``, since argparse wraps usage and help
+text to the terminal width.
 
 The fixtures are indented JSON, so none of them reaches the compact
 matrix parse.  With ``--compact``, each fixture is first re-encoded
@@ -52,6 +57,7 @@ import difflib
 import importlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -69,6 +75,19 @@ JSON_COMMANDS = {
 COMMANDS = {
     **JSON_COMMANDS,
     **{f"{name}-text": [*args, "--format", "text"] for name, args in JSON_COMMANDS.items()},
+}
+# run in the fixtures directory
+ARGV_RUNS = {
+    "version": ["--version"],
+    "help": ["--help"],
+    "decompose-help": ["decompose", "--help"],
+    "no-arguments": [],
+    "unknown-command": ["split", "transpose_choi.json"],
+    "no-file": ["decompose"],
+    "samples-0": ["decompose", "transpose_choi.json", "--samples", "0"],
+    "seed-negative": ["decompose", "transpose_choi.json", "--seed", "-1"],
+    "tol-eig-2": ["decompose", "transpose_choi.json", "--tol-eig", "2"],
+    "format-xml": ["decompose", "transpose_choi.json", "--format", "xml"],
 }
 
 
@@ -109,14 +128,27 @@ def write_reports(out_dir, compact=False) -> dict:
     return codes
 
 
+def write_argv_reports(out_dir) -> dict:
+    """Write the report of every ``ARGV_RUNS`` call under ``out_dir``;
+    returns ``{file name: exit code}``."""
+    out_dir = Path(out_dir).resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with contextlib.chdir(FIXTURES):
+        return {f"argv.{name}.txt": _write_report(out_dir / f"argv.{name}.txt", argv)
+                for name, argv in ARGV_RUNS.items()}
+
+
 def perfbench_module(name):
     """Import the ``perfbench/`` module ``name``; they import each other by
-    bare name, so the directory is on ``sys.path`` while it loads."""
+    bare name, so the directory is on ``sys.path`` while it loads.  No
+    bytecode is written under ``perfbench/``."""
     sys.path.insert(0, str(PERFBENCH))
+    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         return importlib.import_module(name)
     finally:
         sys.path.pop(0)
+        sys.dont_write_bytecode = written
 
 
 def bench_calls(seed, names=None):
@@ -232,6 +264,7 @@ def diff_reports(old_dir, new_dir) -> list:
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
     args = sys.argv[1:]
     if args[:1] == ["--diff"]:
         if len(args) != 3:
@@ -249,3 +282,5 @@ if __name__ == "__main__":
     if len(args) != 1 + compact:
         sys.exit(__doc__)
     write_reports(args[-1], compact)
+    if not compact:
+        write_argv_reports(args[-1])

@@ -320,6 +320,30 @@ def test_samples_below_one_rejected(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("before, after", [
+    (["--seed", "3", "--variant", "symmetric"], []),
+    (["--format", "text", "--samples", "5"], ["--seed", "2"]),
+    (["--tol-eig", "1e-9"], ["--variant", "literal", "--tol-residual", "1e-7"]),
+], ids=["all-before", "split", "tolerances"])
+def test_flags_before_the_command_give_the_same_report(capsys, before, after):
+    path = fix("transpose_choi.json")
+    first = run_cli(capsys, *before, "verify", path, *after)
+    assert first[0] == 0
+    assert first == run_cli(capsys, "verify", path, *after, *before)
+
+
+def test_traced_call_records_the_span_of_its_command(capsys):
+    # perfbench/tracing.py wraps the module attributes cmd_<name>, so main
+    # must look its command up at call time for the benchmark to count it
+    tracer = _fixture_reports().perfbench_module("tracing").Tracer()
+    with tracer.installed():
+        tracer.call_id = 0
+        code, _, _ = run_cli(capsys, "witness", fix("bell_cnot_joint.json"))
+        tracer.call_id = None
+    assert code == 0
+    assert [span[0] for span in tracer.spans if span[1] == "cli"] == ["cli.cmd_witness"]
+
+
 def _record_solves(monkeypatch):
     """``(name, copy of the matrix)`` of every ``eigh`` / ``eigvalsh`` call
     from here on, in call order."""
@@ -875,7 +899,14 @@ def test_fixture_reports_cover_every_fixture_and_command(tmp_path):
     codes = fixture_reports.write_reports(tmp_path)
     assert len(codes) == len(list(FIXTURES.glob("*.json"))) * len(fixture_reports.COMMANDS)
     assert set(codes.values()) <= {0, 1, 2, 3}
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(codes)
+    argv_codes = fixture_reports.write_argv_reports(tmp_path)
+    assert argv_codes == {f"argv.{name}.txt": 0 if "help" in name or name == "version" else 1
+                          for name in fixture_reports.ARGV_RUNS}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(codes | argv_codes)
+    report = (tmp_path / "argv.version.txt").read_text()
+    assert report == f"exit: 0\n--- stderr\n--- stdout\ndynamap {__version__}\n"
+    report = (tmp_path / "argv.tol-eig-2.txt").read_text()
+    assert report.startswith("exit: 1\n--- stderr\nerror: invalid input: --tol-eig: ")
     report = (tmp_path / "transpose_choi.decompose.txt").read_text()
     assert report.startswith("exit: 0\n--- stderr\n--- stdout\n{")
     report = (tmp_path / "transpose_choi.decompose-text.txt").read_text()

@@ -41,7 +41,7 @@ def test_build_extension_identity_split():
     rng = np.random.default_rng(2)
     rho = random_density_matrix(2, rng)
     ext = build_extension(s, rho)
-    assert not ext.has_minus
+    assert ext.minus_block is None
     assert np.allclose(ext.plus_block, rho)
     assert np.allclose(ext.block_sum(), rho)
 
@@ -92,7 +92,7 @@ def test_apply_sector_map_identity_fixed_point():
     rho = random_density_matrix(2, rng)
     out = apply_sector_map(s, build_extension(s, rho))
     assert np.allclose(out.plus_block, rho, atol=1e-12)
-    assert not out.has_minus
+    assert out.minus_block is None
 
 
 def test_apply_sector_map_transpose_blocks():
