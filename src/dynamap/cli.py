@@ -1,17 +1,12 @@
 """Command-line front end.
 
-Subcommands: ``decompose`` (CP split, functionals, annihilation, sector and
-dimension reports), ``verify`` (reconstruction identity on sampled states),
-``dilate`` (unitary dilation of CPTP maps), ``witness`` (positive-extension
-witness for joint pure states) and ``extract`` (induced subsystem dynamics
-from a joint state and unitary, re-emittable as a map document).
-
-Exit codes: 0 success, 1 invalid input or a failed write to stdout, 2
-numerical precondition failure (running out of memory is one), 3
-verification failure.  Reports go to stdout, diagnostics to stderr.
-:func:`main` decides every exit code and stderr line; a ``cmd_<name>``
-only adds its sections to the report and returns ``None`` or the message
-of its failed verification (exit 3, written after the report).
+The five subcommands and the exit codes are described for users by
+:func:`_build_parser` (``dynamap --help``); running out of memory is a
+numerical precondition failure (exit 2).  Reports go to stdout,
+diagnostics to stderr.  :func:`main` decides every exit code and stderr
+line; a ``cmd_<name>`` only adds its sections to the report and returns
+``None`` or the message of its failed verification (exit 3, written after
+the report).
 
 A report is written while it is formatted, one matrix row at a time, so
 its text is never held whole in memory; it is checked in full before the
@@ -59,7 +54,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser(commands) -> _Parser:
-    parser = _Parser(prog="dynamap", description=__doc__)
+    parser = _Parser(prog="dynamap", description=(
+        "Read one JSON document from file (- for stdin) and write its report to stdout. "
+        "decompose splits a trace-preserving, Hermiticity-preserving map into two completely "
+        "positive parts; verify rebuilds the map from them on sampled states; dilate writes a "
+        "CPTP map as a unitary on the system and an ancilla; witness tells whether a joint pure "
+        "state admits a positive linear extension; extract writes the map that a joint unitary "
+        "evolution induces on the system."), epilog=(
+        "exit codes: 0 success; 1 invalid input or a failed write to stdout; 2 numerical "
+        "precondition failure; 3 verification failure"))
     parser.add_argument("--version", action="version", version=f"dynamap {__version__}")
     parser.add_argument("command", choices=commands, help="the subcommand to run")
     parser.add_argument("file", help="input document path, or - for stdin")
@@ -67,7 +70,8 @@ def _build_parser(commands) -> _Parser:
                         help="override the relative zero-eigenvalue threshold")
     parser.add_argument("--tol-residual", type=float, default=None,
                         help="override the absolute residual tolerance")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument("--format", choices=("json", "text"), default="json",
+                        help="report format (default: json)")
     parser.add_argument("--variant", choices=("literal", "symmetric"), default="literal",
                         help="extension construction used where applicable")
     parser.add_argument("--samples", type=int, default=20,

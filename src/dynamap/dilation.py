@@ -72,15 +72,10 @@ def kraus_to_unitary(kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL) -> Uni
     isometry = kraus.folded_operators().transpose(1, 0, 2).reshape(total, n)
     tol.require(NotCompleteKraus, "completeness", isometry_residual(isometry))
 
-    # the complete factor's first n columns span the isometry's range: write
-    # the isometry over them, then move every column to its place one system
-    # row (d joint rows) at a time, so no second (n*d)^2 array is held
-    unitary = np.linalg.qr(isometry, mode="complete")[0]
-    unitary[:, :n] = isometry
-    joint = np.arange(total)
-    source = np.where(joint % d == 0, joint // d, n + joint - joint // d - 1)
-    for rows in range(0, total, d):
-        unitary[rows : rows + d] = unitary[rows : rows + d, source]
+    # joint column c * d + a: ancilla a = 0 holds isometry column c, and a >= 1
+    # the complete factor's columns past its first n, which span the complement
+    complement = np.linalg.qr(isometry, mode="complete")[0][:, n:].reshape(total, n, d - 1)
+    unitary = np.concatenate((isometry[:, :, None], complement), axis=2).reshape(total, total)
     return UnitaryDilation(ancilla_dim=d, unitary=unitary)
 
 

@@ -133,16 +133,16 @@ def extension_witness(
 
 @dataclass(frozen=True, eq=False)
 class AffineDynamics:
-    """Induced subsystem dynamics split into linear and constant parts.
+    """Induced subsystem dynamics, its constant part folded into one linear map.
 
     ``tp_linear_form`` folds the constant part onto the trace-one hyperplane
-    (``sigma -> linear_part(sigma) + Tr(sigma) * constant_part``), giving a
-    TP Hermiticity-preserving linear map that agrees with the joint
+    (``sigma -> Tr_env[u (sigma (x) rho_e) u^dag] + Tr(sigma) * constant_part``),
+    giving a TP Hermiticity-preserving linear map that agrees with the joint
     trajectory at the actual reduced state; ``consistency_residual`` records
-    that agreement.
+    that agreement.  The linear part alone is ``tp_linear_form.choi -
+    kron(constant_part, eye(ns))``.
     """
 
-    linear_part: LinearMap
     constant_part: np.ndarray
     tp_linear_form: LinearMap
     consistency_residual: float
@@ -170,16 +170,14 @@ def induced_dynamics(
     choi = np.empty((ns * ns, ns * ns), dtype=complex)
     np.einsum("airj,jk,bisk->arbs", u4, rho_e, u4.conj(), out=choi.reshape((ns,) * 4),
               optimize=True)
-    tp_choi = choi.copy()
     # constant (x) 1: constant[a, b] at each (a, r), (b, r), through a writable view
-    np.einsum("arbr->rab", tp_choi.reshape((ns,) * 4))[...] += constant
-    choi.flags.writeable = tp_choi.flags.writeable = False  # handed over: no one else holds them
-    linear_part, tp_linear_form = LinearMap(choi), LinearMap(tp_choi)
+    np.einsum("arbr->rab", choi.reshape((ns,) * 4))[...] += constant
+    choi.flags.writeable = False  # handed over: no one else holds it
+    tp_linear_form = LinearMap(choi)
 
     consistency = frob(apply_map(tp_linear_form, rho_s) - direct)
 
     return AffineDynamics(
-        linear_part=linear_part,
         constant_part=constant,
         tp_linear_form=tp_linear_form,
         consistency_residual=consistency,

@@ -60,7 +60,7 @@ def as_complex_stack(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2:
         raise DimensionMismatch(f"expected a matrix, got array of ndim {a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex entry is finite when both its parts are
         raise ValueError("matrix contains non-finite entries")
     return a
 

@@ -705,6 +705,18 @@ def test_version_and_usage_errors_load_no_numpy(argv, code, last_line):
         assert rest[0].startswith("usage: dynamap ") and rest[-1] == last_line
 
 
+def test_help_names_the_commands_and_exit_codes_without_markup(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0 and err == ""
+    description = out.split("\n\n")[1]  # after the usage lines, which list the choices anyway
+    assert all(f"{command} " in description
+               for command in ("decompose", "verify", "dilate", "witness", "extract"))
+    text = " ".join(out.split())  # argparse wraps to the terminal width
+    assert all(exit_code in text for exit_code in (
+        "0 success", "1 invalid input", "2 numerical precondition failure", "3 verification failure"))
+    assert not any(markup in out for markup in ("``", ":func:", ":mod:"))
+
+
 def test_in_process_main_keeps_the_garbage_collector(capsys):
     import gc
 

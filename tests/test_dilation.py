@@ -137,6 +137,9 @@ def test_qr_completion_keeps_isometry_and_is_unitary(kraus):
     d = len(kraus)
     assert dil.unitary.shape == (kraus.dim * d, kraus.dim * d)
     assert np.array_equal(dil.unitary[:, dil.ancilla_ref_index::d], _stacked_isometry(kraus))
+    # the other ancillas hold the complete QR factor's complement columns, in order
+    assert np.array_equal(np.delete(dil.unitary, np.s_[dil.ancilla_ref_index::d], axis=1),
+                          np.linalg.qr(_stacked_isometry(kraus), mode="complete")[0][:, kraus.dim:])
     assert unitarity_residual(dil) <= 1e-12
     assert np.array_equal(dil.unitary, kraus_to_unitary(kraus).unitary)
 

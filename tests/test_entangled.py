@@ -233,7 +233,8 @@ def test_induced_dynamics_matches_unit_by_unit_loop(dims):
     phi = random_joint_pure_state(dims, rng)
     u = haar_unitary(dims[0] * dims[1], rng)
     dyn = induced_dynamics(phi, u)
-    assert np.max(np.abs(dyn.linear_part.choi - _induced_linear_choi_loop(phi, u))) <= 1e-12
+    linear_choi = dyn.tp_linear_form.choi - np.kron(dyn.constant_part, np.eye(dims[0]))
+    assert np.max(np.abs(linear_choi - _induced_linear_choi_loop(phi, u))) <= 1e-12
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 2)])
@@ -252,18 +253,18 @@ def test_induced_constant_part_matches_the_correlation_reference(dims, product):
 def test_induced_tp_form_is_linear_part_plus_constant_kron_identity(dims):
     rng = np.random.default_rng(90 + dims[0])
     phi = random_joint_pure_state(dims, rng)
-    dyn = induced_dynamics(phi, haar_unitary(dims[0] * dims[1], rng))
-    ns = dims[0]
-    expected = dyn.linear_part.choi + np.kron(dyn.constant_part, np.eye(ns))
-    assert dyn.tp_linear_form.choi.tobytes() == expected.tobytes()
-    for m in (dyn.linear_part, dyn.tp_linear_form):
-        assert not m.choi.flags.writeable and m.choi.flags.owndata
+    u = haar_unitary(dims[0] * dims[1], rng)
+    dyn = induced_dynamics(phi, u)
+    expected = _induced_linear_choi_loop(phi, u) + np.kron(dyn.constant_part, np.eye(dims[0]))
+    choi = dyn.tp_linear_form.choi
+    assert np.max(np.abs(choi - expected)) <= 1e-12
+    assert not choi.flags.writeable and choi.flags.owndata
 
 
 def test_extract_stages_peak_below_four_choi_matrices():
-    # N=16 with an 8-dimensional environment: the linear and the TP Choi
-    # matrix stay; the copies and the Kronecker temporary of the old path and
-    # its dense eigensystem peaked at 5.5
+    # N=16 with an 8-dimensional environment: the TP Choi matrix stays; the
+    # copies and the Kronecker temporary of the old path and its dense
+    # eigensystem peaked at 5.5
     unit = 16 ** 4 * 16  # one complex N^2 x N^2 matrix
     rng = np.random.default_rng(91)
     phi = random_joint_pure_state((16, 8), rng)
@@ -280,3 +281,18 @@ def test_extract_stages_peak_below_four_choi_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 4 * unit
+
+
+def test_induced_dynamics_keeps_one_choi_matrix():
+    # the TP form is the one Choi matrix built; a kept linear part held a second
+    unit = 16 ** 4 * 16  # one complex N^2 x N^2 matrix
+    rng = np.random.default_rng(92)
+    phi = random_joint_pure_state((16, 8), rng)
+    u = haar_unitary(128, rng)
+    tracemalloc.start()
+    try:
+        dyn = induced_dynamics(phi, u)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert dyn.tp_linear_form.choi.nbytes == unit and retained < 1.5 * unit

@@ -595,9 +595,11 @@ def test_linear_map_rejects_bad_shapes():
     (lambda: depolarizing_map(1.5), ValueError, "p must lie in [0, 1], got 1.5"),
     (lambda: amplitude_damping_kraus(-0.1), ValueError, "gamma must lie in [0, 1], got -0.1"),
     (lambda: matrix_unit(2, 2, 0), DimensionMismatch, "indices (2, 0) out of range for dim 2"),
+    (lambda: linalg.as_complex_stack(np.array([[[1.0, complex(0.0, np.nan)], [0.0, 1.0]]])),
+     ValueError, "matrix contains non-finite entries"),
 ], ids=["apply_map_vector", "linear_map_3d", "partial_trace_non_square",
         "partial_trace_which", "from_a_form_side", "sector_map_dim", "dimension_bound",
-        "depolarizing_p", "damping_gamma", "matrix_unit_index"])
+        "depolarizing_p", "damping_gamma", "matrix_unit_index", "imaginary_part_non_finite"])
 def test_input_checks_raise_their_error_and_message(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -99,12 +99,13 @@ def test_result_types_keep_only_their_inputs():
     # every other value is derived from these on first use
     from dynamap.cpsplit import CPSplit
     from dynamap.dilation import UnitaryDilation
-    from dynamap.entangled import WitnessCertificate
+    from dynamap.entangled import AffineDynamics, WitnessCertificate
 
     kept = {
         CPSplit: ["source", "positive_part", "negative_part", "tol"],
         WitnessCertificate: ["reduced_state", "schmidt_weights", "schmidt_rank"],
         UnitaryDilation: ["ancilla_dim", "unitary"],
+        AffineDynamics: ["constant_part", "tp_linear_form", "consistency_residual"],
     }
     for cls, names in kept.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls
