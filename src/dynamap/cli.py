@@ -183,18 +183,6 @@ def _say(line: str):
         pass
 
 
-def _emit(report: dict, fmt: str):
-    """Stream ``report`` to stdout."""
-    from .docio import canonical_json, canonical_text
-
-    write = _stdout().write
-    if fmt == "json":
-        canonical_json(report, write)
-        write("\n")
-    else:
-        canonical_text(report, write)
-
-
 def cmd_decompose(report, doc, tol, seed, args):
     _add_decomposition(report, doc, tol, seed, args)
 
@@ -318,7 +306,9 @@ def main(argv=None) -> int:
                 "tolerances": {"zero_eig_rel": tol.zero_eig_rel, "residual_abs": tol.residual_abs},
             }
             failure = commands[args.command](report, doc, tol, seed, args)
-            _emit(report, args.format)
+            from .docio import canonical_json, canonical_text
+
+            (canonical_json if args.format == "json" else canonical_text)(report, _stdout().write)
             code = EXIT_OK if failure is None else EXIT_VERIFICATION
         if sys.stdout is not None:  # a closed stdout holds nothing to lose
             sys.stdout.flush()

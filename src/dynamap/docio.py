@@ -49,15 +49,15 @@ on 3.10 and 3.11), so no process loads OpenSSL for it; ``hashlib``,
 which gives the same digest, is imported only where neither exists.
 
 Reports are serialized by :func:`canonical_json`: keys sorted, no
-whitespace, floats rendered with 17 significant digits.  Report values may
-be numpy arrays; they are written as nested lists, complex entries as the
+whitespace, floats with 17 significant digits, a line end last.  Report
+values may be numpy arrays, written as nested lists, complex entries as the
 same ``[re, im]`` pairs the inputs use.  Identical inputs, seeds and tool
 version therefore produce byte-identical reports.  :func:`canonical_text`
 writes the same values as the ``key = value`` lines of ``--format text``.
-Both check the whole report before they format any of it, then format and
-hand it to a ``write`` callable one first-axis entry of an array (a matrix
-row, in any report) at a time, so a report is never held whole as text and
-one that cannot be serialized writes nothing.
+Both check the whole report before they format any of it, then hand every
+byte of it to a ``write`` callable, one first-axis entry of an array (a
+matrix row, in any report) at a time, so a report is never held whole as
+text and one that cannot be serialized writes nothing.
 """
 
 import json
@@ -398,11 +398,7 @@ def _sorted_keys(mapping) -> list:
 def _write(plan, write):
     """Format ``plan`` and pass it to ``write`` in chunks: each first-axis
     entry of a deferred array is one chunk, together with the small strings
-    written since the previous entry.  Without ``write``, returns the joined text."""
-    chunks = None
-    if write is None:
-        chunks = []
-        write = chunks.append
+    written since the previous entry."""
     pending = []
     for item in plan:
         if isinstance(item, str):
@@ -416,11 +412,10 @@ def _write(plan, write):
         pending.append("]")
     if pending:
         write("".join(pending))
-    return None if chunks is None else "".join(chunks)
 
 
-def canonical_json(value, write=None):
-    """Deterministic JSON: sorted keys, compact, 17-significant-digit floats.
+def canonical_json(value, write):
+    """Deterministic JSON and a line end: sorted keys, compact, 17-significant-digit floats.
 
     Floats and numpy arrays are written as nested lists of the
     :func:`_real_parts` encoding.  The whole of ``value`` is checked first
@@ -428,19 +423,20 @@ def canonical_json(value, write=None):
     types raise ``TypeError``), so a failure writes nothing.  The text is
     then formatted and passed to ``write`` in chunks, one first-axis entry
     of an array (a matrix row, in any report) each, so writing a report
-    needs memory for one row of its text, not all of it.  Without
-    ``write``, the text is returned as one string.
+    needs memory for one row of its text, not all of it.  To hold the text
+    as one string, pass ``chunks.append`` and join ``chunks``.
     """
     plan = []
     _plan(value, plan)
-    return _write(plan, write)
+    plan.append("\n")
+    _write(plan, write)
 
 
-def canonical_text(report, write=None):
-    """The ``key = value`` lines of ``--format text``: one line per leaf of
-    the nested dicts of ``report``, keys dotted and sorted, each value in
-    :func:`canonical_json` form.  Checked, chunked and returned like
-    :func:`canonical_json`."""
+def canonical_text(report, write):
+    """Write the ``key = value`` lines of ``--format text`` to ``write``:
+    one line per leaf of the nested dicts of ``report``, keys dotted and
+    sorted, each value in :func:`canonical_json` form, its line end ending
+    the line.  Checked and chunked like :func:`canonical_json`."""
     plan = []
 
     def leaves(prefix, value):
@@ -453,4 +449,4 @@ def canonical_text(report, write=None):
             plan.append("\n")
 
     leaves("", report)
-    return _write(plan, write)
+    _write(plan, write)

@@ -91,6 +91,18 @@ ARGV_RUNS = {
 }
 
 
+@contextlib.contextmanager
+def _chdir(path):
+    """The working directory is ``path`` inside the block (``contextlib.chdir``
+    needs Python 3.11)."""
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
 def run(argv):
     """``(exit_code, stdout, stderr)`` of one in-process CLI call."""
     from dynamap import cli
@@ -133,7 +145,7 @@ def write_argv_reports(out_dir) -> dict:
     returns ``{file name: exit code}``."""
     out_dir = Path(out_dir).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
-    with contextlib.chdir(FIXTURES):
+    with _chdir(FIXTURES):
         return {f"argv.{name}.txt": _write_report(out_dir / f"argv.{name}.txt", argv)
                 for name, argv in ARGV_RUNS.items()}
 
@@ -159,7 +171,7 @@ def bench_calls(seed, names=None):
     directory until the generator is closed, and ``argv`` names them
     relative to it, so no temporary path reaches a report."""
     workloads = perfbench_module("workloads")
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+    with tempfile.TemporaryDirectory() as tmp, _chdir(tmp):
         for name in names or workloads.WORKLOADS:
             workload = workloads.build(name, seed)
             for doc in workload.docs:

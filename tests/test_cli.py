@@ -37,6 +37,13 @@ def fix(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def joined(render, value) -> str:
+    """All that ``render`` (``canonical_json`` or ``canonical_text``) writes for ``value``."""
+    chunks = []
+    render(value, chunks.append)
+    return "".join(chunks)
+
+
 def test_decompose_transpose_golden(capsys):
     code, rep, _ = run_json(capsys, "decompose", fix("transpose_choi.json"))
     assert code == 0
@@ -363,7 +370,7 @@ def _write_doc(tmp_path, doc):
     from dynamap.docio import canonical_json
 
     path = tmp_path / "doc.json"
-    path.write_text(canonical_json(doc))
+    path.write_text(joined(canonical_json, doc))
     return str(path)
 
 
@@ -726,11 +733,12 @@ def test_in_process_main_keeps_the_garbage_collector(capsys):
 
 def test_script_entry_is_the_function_python_m_calls():
     import importlib
+    import re
     import runpy
-    import tomllib
 
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["dynamap"]
+    # the script line of [project.scripts]; tomllib needs Python 3.11
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    target = re.search(r'^dynamap = "(.+)"$', pyproject, re.MULTILINE).group(1)
     # run as "dynamap.__main__", the module defines main without calling it
     run_main = runpy.run_module("dynamap")["main"]
     module, _, attr = target.partition(":")
@@ -1033,8 +1041,34 @@ def test_compact_fixtures_report_as_their_pretty_originals(tmp_path, monkeypatch
             target = f"{fixture.stem}.{name}.txt"
             got = (tmp_path / "compact" / target).read_text()
             assert got.replace(*digests) == (tmp_path / "pretty" / target).read_text(), target
-    # the compact copies of the five matrix fixtures take it, under every command
-    assert list_light.count(True) == 5 * len(fixture_reports.COMMANDS)
+    # the compact copies of the six matrix fixtures take it, under every command
+    assert list_light.count(True) == 6 * len(fixture_reports.COMMANDS)
+
+
+def test_weighted_and_cut_fixtures_take_their_routes(monkeypatch):
+    # the only fixtures whose reports run the walker's success path, Kraus
+    # weights and a split's positive part summed from its Kraus operators
+    from dynamap import cpsplit, docio
+
+    walked, summed = [], []
+    walk, kraus_to_map = docio._walk, cpsplit.kraus_to_map
+    monkeypatch.setattr(docio, "_walk", lambda node, path, shape: (
+        walked.append(path), walk(node, path, shape))[1])
+    monkeypatch.setattr(cpsplit, "kraus_to_map", lambda kraus: (
+        summed.append(len(kraus.operators)), kraus_to_map(kraus))[1])
+    raw = (FIXTURES / "weighted_dephasing_kraus.json").read_bytes()
+    assert b"true" in raw
+    doc = docio.parse_document(raw)
+    assert walked[0] == "$.data"  # the literal true sends the operators to the walker
+    assert doc.kraus.weights.tolist() == [0.75, 0.25]
+    assert np.array_equal(doc.linear_map.choi, [[1, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0],
+                                                [0.5, 0, 0, 1]])
+    doc = docio.parse_document((FIXTURES / "ncp_family_05_cut_choi.json").read_bytes())
+    split = cpsplit.cp_split(doc.linear_map, doc.tol)
+    # zero_eig_rel 0.5 cuts the -0.25 eigenvalue: no negative part, and the
+    # positive part is the sum of its three Kraus operators
+    assert np.allclose(doc.linear_map.eigenvalues, [0.75, 0.75, 0.75, -0.25], atol=1e-15)
+    assert summed == [0, 3] and (split.n_positive, split.n_negative) == (3, 0)
 
 
 _EXTREME_FLAGS = {
@@ -1174,7 +1208,8 @@ def test_report_into_a_pipe_closed_early_ends_in_an_error_line(tmp_path):
     # a 64-side dilation unitary: a report far larger than a pipe's buffer
     kraus = random_cptp_kraus(4, 16, np.random.default_rng(0))
     doc_path = tmp_path / "kraus.json"
-    doc_path.write_text(canonical_json({"kind": "kraus", "dim": 4, "data": kraus.operators}))
+    doc_path.write_text(joined(canonical_json, {"kind": "kraus", "dim": 4,
+                                                "data": kraus.operators}))
     child = subprocess.Popen([sys.executable, "-m", "dynamap", "dilate", str(doc_path)],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_BUFFERED)
     assert child.stdout.read(20) == b'{"command":"dilate",'
@@ -1213,13 +1248,14 @@ def test_canonical_json_arrays_match_nested_python_floats():
     cplx.real.flat[:len(_EDGE_FLOATS)] = _EDGE_FLOATS
     cplx.imag.flat[-len(_EDGE_FLOATS):] = _EDGE_FLOATS
     nested = [[[float(z.real), float(z.imag)] for z in row] for row in cplx]
-    assert canonical_json(cplx) == canonical_json(nested)
+    assert joined(canonical_json, cplx) == joined(canonical_json, nested)
     real = np.array(_EDGE_FLOATS + list(rng.standard_normal(5)))
-    assert canonical_json(real) == canonical_json([float(x) for x in real])
+    assert joined(canonical_json, real) == joined(canonical_json, [float(x) for x in real])
     for x in _EDGE_FLOATS:
-        assert canonical_json(np.array(x)) == canonical_json(x) == format(x, ".17g")
-    assert canonical_json({"a": cplx, "b": [real]}) == canonical_json({"a": nested,
-                                                                     "b": [real.tolist()]})
+        assert (joined(canonical_json, np.array(x)) == joined(canonical_json, x)
+                == format(x, ".17g") + "\n")
+    assert (joined(canonical_json, {"a": cplx, "b": [real]})
+            == joined(canonical_json, {"a": nested, "b": [real.tolist()]}))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1231,13 +1267,13 @@ def test_canonical_json_rejects_non_finite_array_entries(bad):
             poisoned = array.copy()
             poisoned.flat[index] = bad
             with pytest.raises(ValueError):
-                canonical_json(poisoned)
+                joined(canonical_json, poisoned)
         poisoned = np.zeros((2, 2), dtype=complex)
         poisoned[1, 0] = complex(0.0, bad)
         with pytest.raises(ValueError):
-            canonical_json(poisoned)
+            joined(canonical_json, poisoned)
     with pytest.raises(ValueError):
-        canonical_json(np.array(bad))
+        joined(canonical_json, np.array(bad))
 
 
 def _nested_floats(array):
@@ -1274,17 +1310,14 @@ def _report_arrays(draw):
 def test_streamed_chunks_join_to_the_canonical_string(array):
     from dynamap.docio import canonical_json, canonical_text
 
-    text = canonical_json(array)
-    chunks = []
-    assert canonical_json(array, chunks.append) is None
-    assert "".join(chunks) == text == canonical_json(_nested_floats(array))
-    assert text == _rendered(_nested_floats(array))
+    text = _rendered(_nested_floats(array))
+    assert joined(canonical_json, array) == joined(canonical_json, _nested_floats(array)) == (
+        text + "\n")
     report = {"b": [array, "s", 1, None], "a": {"m": array, "x": 0.5}}
-    for render in (canonical_json, canonical_text):
-        chunks = []
-        render(report, chunks.append)
-        assert "".join(chunks) == render(report)
-    assert canonical_text(report) == (f"a.m = {text}\na.x = 0.5\nb = [{text},\"s\",1,null]\n")
+    assert joined(canonical_json, report) == (
+        f"{{\"a\":{{\"m\":{text},\"x\":0.5}},\"b\":[{text},\"s\",1,null]}}\n")
+    assert joined(canonical_text, report) == (
+        f"a.m = {text}\na.x = 0.5\nb = [{text},\"s\",1,null]\n")
 
 
 def test_serialization_checks_the_whole_report_before_the_first_write():
@@ -1303,6 +1336,32 @@ def test_serialization_checks_the_whole_report_before_the_first_write():
             assert chunks == []
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_stdout_is_exactly_what_the_docio_writer_writes(capsys, monkeypatch, fmt):
+    # main calls the docio writer it finds at call time, as perfbench's tracer
+    # wraps it, and writes nothing of its own: the line end comes from docio
+    from dynamap import docio
+
+    name = "canonical_json" if fmt == "json" else "canonical_text"
+    render, written = getattr(docio, name), []
+
+    def recording(report, write):
+        with pytest.raises(TypeError):  # no string-returning mode without write
+            render(report)
+        chunks = []
+        assert render(report, chunks.append) is None
+        written.append("".join(chunks))
+        return render(report, write)
+
+    monkeypatch.setattr(docio, name, recording)
+    code, out, err = run_cli(capsys, "dilate", fix("amplitude_damping_kraus.json"), "--format", fmt)
+    assert code == 0 and err == ""
+    assert written == [out]
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    if fmt == "json":
+        assert out.count("\n") == 1
+
+
 @pytest.mark.parametrize("render", ["json", "text"])
 @pytest.mark.parametrize("entries", ["complex", "real"])
 def test_canonical_json_writes_a_matrix_one_row_at_a_time(entries, render):
@@ -1316,9 +1375,10 @@ def test_canonical_json_writes_a_matrix_one_row_at_a_time(entries, render):
                             else (canonical_text, {"m": matrix}, "m = "))
     chunks = []
     renderer(value, chunks.append)
-    assert len(chunks) > 64 and "".join(chunks) == renderer(value)
+    assert len(chunks) > 64 and "".join(chunks) == key + _rendered(_nested_floats(matrix)) + "\n"
     # each chunk is at most one row's text, the bracket or comma before it and the key
-    assert max(map(len, chunks)) <= len(key) + 1 + max(len(canonical_json(row)) for row in matrix)
+    assert max(map(len, chunks)) <= len(key) + 1 + max(
+        len(_rendered(_nested_floats(row))) for row in matrix)
 
 
 def test_kraus_and_choi_documents_of_one_map_decide_alike_at_the_rounding_floor(
