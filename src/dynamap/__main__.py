@@ -16,6 +16,16 @@ frozen and 1.80 s with both; disabling alone raised peak RSS by about
 0.2 MiB.  Library users and in-process callers of ``cli.main`` keep both
 settings as they are.
 
+Since numpy loads only after the arguments are parsed, ``cli._resolve``
+can overlap the two longest stages of a ``decompose``, ``verify`` or
+``dilate`` call on a large matrix document: for a file of at least
+``cli._HELPER_BYTES`` (768 KiB) it forks a helper
+(:class:`dynamap.compact.Helper`) that reads, hashes and parses the
+document on another CPU while this process imports numpy and the layers of
+its command.  The process reaps the helper before it goes on, so a
+``wait4`` on it counts the helper's CPU time as its own.  In-process
+callers, numpy loaded, never fork one.
+
 When stdout refuses a report (a closed pipe, a full disk), ``cli.main``
 says so on stderr and returns 1; the unwritten rest of the report is then
 dropped by pointing file descriptor 1 at the null device, so interpreter

@@ -17,36 +17,29 @@ integer ``seed`` and an optional ``tolerances`` object overriding
 ``zero_eig_rel`` and ``residual_abs``.
 
 A compact matrix document (``choi``, ``superop_a``, ``superop_b``) is
-parsed one matrix row at a time, without nested lists.  Its one
-``"data":[[[`` span is cut out and the rest of the document, ``null`` in
-its place, is loaded and checked as usual.  The span must be at least as
-long as the shortest ``(dim^2, dim^2, 2)`` array before anything of that
-size is built.  Each row must have the skeleton of a ``(dim^2, 2)`` array
-once its number characters are deleted, so whitespace, letters
-(``true``, ``null``, ``NaN``) and wrong shapes fail there, and must be
-followed by ``,``, the last row by the span's closing ``]``.  A row's
-numbers, brackets blanked, are one flat ``json.loads`` list, so each
-keeps the JSON number grammar, and one ``np.array`` call converts them
-into a preallocated complex matrix.  The parse thus holds the raw bytes,
-that matrix and one row, and the matrix goes to ``LinearMap`` read-only,
-uncopied.  Any other document, and any span that fails a check, takes
-the full path below.
+parsed one matrix row at a time by :func:`dynamap.compact.matrix_document`,
+which loads no numpy, into a preallocated complex matrix; the matrix is
+kept when every entry is finite, and goes to ``LinearMap`` read-only,
+uncopied.  The CLI may run that parse in a helper process forked before
+numpy loads (see :mod:`dynamap.compact`) and hand its result to
+:func:`received_document`; in-process callers, numpy loaded, never do.
+Any other document, and any span that fails a check, takes the full path
+below.
 
 Each array (map ``data``, the Kraus stack, ``state``, ``unitary``) is
-converted by one ``np.array`` call on the loaded lists.  On both paths
-the result is kept only when it is a real or integer array of the
-expected size and finite entries; strings, ``null``, ragged rows,
-out-of-range integers, ``NaN`` and infinities all fail that test.  Every
-other array goes through a per-scalar walker, which alone reports errors
-with the JSON path of the first offending entry.  ``np.array`` reads
-``true``/``false`` as numbers, so a document whose bytes contain either
-literal is walked in full.  All paths give bit-identical arrays.
+converted by one ``np.array`` call on the loaded lists.  The result is
+kept only when it is a real or integer array of the expected size and
+finite entries; strings, ``null``, ragged rows, out-of-range integers,
+``NaN`` and infinities all fail that test.  Every other array goes
+through a per-scalar walker, which alone reports errors with the JSON
+path of the first offending entry.  ``np.array`` reads ``true``/``false``
+as numbers, so a document whose bytes contain either literal is walked
+in full.  All paths give bit-identical arrays.
 
 Every report carries ``input_digest``, the SHA-256 hex digest of the
-document's raw bytes as read, before any parsing.  It is computed by
-CPython's builtin hash module (``_sha2`` on 3.12 and later, ``_sha256``
-on 3.10 and 3.11), so no process loads OpenSSL for it; ``hashlib``,
-which gives the same digest, is imported only where neither exists.
+document's raw bytes as read, before any parsing, by the builtin hash
+module that :mod:`dynamap.compact` imports, so no process loads OpenSSL
+for it.
 
 Reports are serialized by :func:`canonical_json`: keys sorted, no
 whitespace, floats with 17 significant digits, a line end last.  Report
@@ -63,24 +56,14 @@ text and one that cannot be serialized writes nothing.
 import json
 import math
 
-# hashlib always imports _hashlib, which loads OpenSSL's libcrypto; CPython's
-# own SHA-256 module gives the same digest without it.
-try:
-    from _sha2 import sha256  # CPython 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
-
 import numpy as np
 
+from .compact import MATRIX_KINDS, matrix_document, sha256
 from .errors import DocumentError
 from .linalg import ToleranceConfig, _unit_power, frob
 from .maps import KrausSet, LinearMap, from_a_form, kraus_to_map
 
-_MATRIX_KINDS = ("choi", "superop_a", "superop_b")
-MAP_KINDS = ("kraus",) + _MATRIX_KINDS
+MAP_KINDS = ("kraus",) + MATRIX_KINDS
 ALL_KINDS = MAP_KINDS + ("joint_dynamics",)
 
 
@@ -187,64 +170,24 @@ def _parse_tolerances(node, path):
         raise DocumentError(path, str(exc)) from None
 
 
-_BRACKETS = bytes.maketrans(b"[]", b"  ")
+def _complex_matrix(side):
+    return np.empty((side, side), dtype=complex)
+
+
+def _finite(parsed):
+    """``parsed``, a ``(doc, matrix)`` of the row parse, its matrix made
+    read-only, when every entry is finite; else ``None``, the full path."""
+    if parsed is None or not np.isfinite(parsed[1]).all():
+        return None
+    parsed[1].flags.writeable = False  # handed over: no one else holds it
+    return parsed
 
 
 def _matrix_document(raw: bytes):
     """``(doc, matrix)`` of a compact matrix document, ``doc`` holding
-    ``null`` as its ``data``; ``None`` sends the document to the full path.
-
-    The span is the value after the one ``"data"`` of the document: with no
-    backslash in the rest, that string is the top-level key the loaded
-    ``doc`` has.  Each row of the span ends in ``]]``; its numbers are
-    converted and written through the float view of the preallocated
-    matrix, which is returned read-only and owning its data, so
-    ``LinearMap`` keeps it.  Every row is parsed before ``doc`` is
-    returned, so the caller's checks of ``doc`` run only on valid JSON, as
-    on the full path.
-    """
-    start = raw.find(b'"data":[[[') + 7
-    end = raw.find(b"]]]", start) + 3
-    if start < 7 or end < 3 or raw.startswith(b"[[[[", start):  # none, or a Kraus stack
-        return None
-    rest = raw[:start] + b"null" + raw[end:]
-    if b"\\" in rest or rest.count(b'"data"') != 1:
-        return None
-    try:
-        doc = json.loads(rest.decode("utf-8"))
-    except (ValueError, RecursionError):
-        return None
-    if not isinstance(doc, dict) or "data" not in doc or doc.get("kind") not in _MATRIX_KINDS:
-        return None
-    dim = doc.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        return None
-    side = dim * dim
-    # one character per number is the shortest such array: this bounds the
-    # row skeleton and the matrix by the input size before either is built
-    if end - start < 6 * side * side + 2 * side + 1:
-        return None
-    skeleton = b"[" + b",".join([b"[,]"] * side) + b"]"
-    matrix = np.empty((side, side), dtype=complex)
-    rows = matrix.view(float)
-    pos = start + 1
-    for i in range(side):
-        stop = raw.find(b"]]", pos, end) + 2
-        if stop < 2 or not raw.startswith(b"]" if i == side - 1 else b",", stop):
-            return None
-        row = raw[pos:stop]
-        if row.translate(None, b"0123456789.eE+-") != skeleton:
-            return None
-        try:
-            pairs = np.array(json.loads("[%s]" % row.translate(_BRACKETS).decode()))
-        except (ValueError, OverflowError):  # JSON number grammar, out-of-range integers
-            return None
-        if pairs.dtype.kind not in "fi" or pairs.size != 2 * side or not np.isfinite(pairs).all():
-            return None
-        rows[i] = pairs
-        pos = stop + 1  # a last row followed by "]" ends at the first "]]]", the span's end
-    matrix.flags.writeable = False  # handed over: no one else holds it
-    return doc, matrix
+    ``null`` as its ``data`` and ``matrix`` read-only and owning its data,
+    so ``LinearMap`` keeps it; ``None`` sends the document to the full path."""
+    return _finite(matrix_document(raw, _complex_matrix))
 
 
 def parse_document(raw: bytes) -> ParsedDocument:
@@ -264,7 +207,24 @@ def parse_document(raw: bytes) -> ParsedDocument:
         # np.array reads true/false as 1/0 among numbers; such documents are walked
         matrix, fast = None, b"true" not in raw and b"false" not in raw
     del raw, parsed  # the document's bytes, unless the caller holds them too
+    return _checked(doc, matrix, fast, digest)
 
+
+def received_document(helper):
+    """The :class:`ParsedDocument` of what a :class:`dynamap.compact.Helper`
+    sent, or ``None`` when it sent nothing or a matrix with a non-finite
+    entry; the caller then reads and parses the document itself."""
+    received = helper.receive(_complex_matrix)
+    if received is None or _finite(received[1:]) is None:
+        return None
+    digest, doc, matrix = received
+    return _checked(doc, matrix, True, digest)
+
+
+def _checked(doc, matrix, fast, digest) -> ParsedDocument:
+    """The checks of a loaded document ``doc`` and its parsed ``matrix``
+    (``None`` for any but a compact matrix document); ``fast`` allows one
+    ``np.array`` call per array."""
     kind = doc.get("kind")
     if kind not in ALL_KINDS:
         raise DocumentError("$.kind", f"kind must be one of {ALL_KINDS}, got {kind!r}")

@@ -45,14 +45,23 @@ class SeededNormals:
     stable across versions, taken in pairs ``(u, v)`` through the Box–Muller
     transform to ``r cos(2 pi v)`` and ``r sin(2 pi v)``, ``r =
     sqrt(-2 ln(1 - u))``.  Each ``standard_normal`` call starts on fresh
-    pairs, so an odd size drops its last sine."""
+    pairs, so an odd size drops its last sine.
+
+    The ``n`` uniforms of a call are drawn at once: ``random()`` builds each
+    from two 32-bit outputs ``(a, b)`` as ``((a >> 5) 2**26 + (b >> 6))
+    2**-53``, and ``getrandbits(64 n)`` returns the same ``2 n`` outputs as
+    little-endian words, leaving the generator where ``n`` calls of
+    ``random()`` leave it."""
 
     def __init__(self, seed: int):
-        self._uniform = random.Random(seed).random
+        self._bits = random.Random(seed).getrandbits
 
     def standard_normal(self, shape) -> np.ndarray:
         size = int(np.prod(shape))
-        uniforms = np.array([self._uniform() for _ in range(size + size % 2)])
+        count = size + size % 2
+        words = np.frombuffer(self._bits(64 * count).to_bytes(8 * count, "little"), dtype="<u4")
+        a, b = words.reshape(-1, 2).T
+        uniforms = ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
         u, v = uniforms.reshape(-1, 2).T
         radius, angle = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v
         normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)

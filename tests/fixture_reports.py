@@ -30,7 +30,11 @@ of those documents are written instead, under the same file names.
 With ``--bench``, the reports are of the benchmark's traffic instead: each
 workload of ``perfbench/workloads.py`` is built at SEED, its documents are
 written to a temporary directory, and each call of its cycle is run there
-in the JSON and the text format.  One file per run,
+in the JSON and the text format, each as a ``python -m dynamap`` child of
+the same ``dynamap`` package, as the benchmark runs it: a large matrix
+document then takes the child's forked parse (see ``dynamap.compact``),
+which an in-process call never does, and BLAS runs on the child's one
+thread.  One file per run,
 ``<workload>.<call index>.<command>.<document>.txt`` (``<command>-text``
 for the text format), holds the exit code, stderr and stdout as above.
 The documents are a pure function of the seed, so two checkouts given the
@@ -58,6 +62,7 @@ import importlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -113,9 +118,22 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _write_report(path, argv) -> int:
-    """Run one CLI call into the report file ``path``; returns its exit code."""
-    code, stdout, stderr = run(argv)
+def run_child(argv):
+    """``(exit_code, stdout, stderr)`` of one ``python -m dynamap`` call of
+    the ``dynamap`` package that :func:`run` imports."""
+    import dynamap
+
+    src = str(Path(dynamap.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-m", "dynamap", *argv], capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=path))
+    return child.returncode, child.stdout.decode(), child.stderr.decode()
+
+
+def _write_report(path, argv, runner=run) -> int:
+    """Run one CLI call by ``runner`` into the report file ``path``; returns
+    its exit code."""
+    code, stdout, stderr = runner(argv)
     path.write_text(f"exit: {code}\n--- stderr\n{stderr}--- stdout\n{stdout}")
     return code
 
@@ -182,9 +200,9 @@ def bench_calls(seed, names=None):
 
 
 def write_bench_reports(seed, out_dir, names=None) -> dict:
-    """Write the report of every call of :func:`bench_calls` in both
-    formats under ``out_dir``; returns ``{file name: (exit code, the call's
-    expected exit code)}``."""
+    """Write the report of every call of :func:`bench_calls`, run as a
+    child, in both formats under ``out_dir``; returns ``{file name: (exit
+    code, the call's expected exit code)}``."""
     out_dir = Path(out_dir).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
     codes = {}
@@ -192,7 +210,8 @@ def write_bench_reports(seed, out_dir, names=None) -> dict:
         for stem, argv, call in calls:
             for suffix, extra in (("", []), ("-text", ["--format", "text"])):
                 target = f"{stem}{suffix}.{call.doc.name}.txt"
-                codes[target] = (_write_report(out_dir / target, argv + extra), call.exit_code)
+                codes[target] = (_write_report(out_dir / target, argv + extra, run_child),
+                                 call.exit_code)
     return codes
 
 

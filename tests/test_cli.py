@@ -648,6 +648,120 @@ def test_cli_runs_blas_on_one_thread_unless_environment_sets_it():
     assert counts == ["1", "2"]
 
 
+@pytest.fixture(scope="module")
+def large_choi(tmp_path_factory):
+    """A compact Choi document of a generic N=8 map, at least the size from
+    which a CLI process parses it in a forked helper.  Each number is written
+    to 18 significant digits and then 160 zeros: up to N=8 a report does not
+    depend on the BLAS thread count, which differs between this process and
+    a CLI child."""
+    from dynamap.cli import _HELPER_BYTES
+    from dynamap.generators import random_tp_map
+
+    numbers = random_tp_map(8, np.random.default_rng(36)).choi.view(float).reshape(64, 128)
+    rows = ",".join("[%s]" % ",".join("[%s,%s]" % pair for pair in zip(row[::2], row[1::2]))
+                    for row in (["%.17e" % x for x in line] for line in numbers))
+    text = '{"kind":"choi","dim":8,"data":[%s],"seed":3}' % rows.replace("e", "0" * 160 + "e")
+    path = tmp_path_factory.mktemp("large") / "large_choi.json"
+    path.write_text(text)
+    assert path.stat().st_size >= _HELPER_BYTES
+    return path
+
+
+# Runs dynamap.__main__.main, as ``python -m dynamap`` does, on argv[3:].  It
+# then writes to the file argv[1] whether this process opened the document
+# (the helper's opens are its own) and whether a child of it is left
+# unreaped.  With argv[2] "vanishing", a forked child deletes the document
+# before it does anything else; with "nowait", the process ignores SIGCHLD,
+# so the kernel reaps its children.
+_PROBED_CLI = """
+import json, os, signal, sys
+probe, mode = sys.argv.pop(1), sys.argv.pop(1)
+vanish = mode == "vanishing"
+if mode == "nowait":
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+document, parent, opened = os.path.abspath(sys.argv[2]), os.getpid(), []
+
+def hook(event, args):
+    if event == "open" and os.getpid() == parent and os.path.abspath(str(args[0])) == document:
+        opened.append(args[0])
+
+def fork(real=os.fork):
+    pid = real()
+    if pid == 0 and vanish:
+        os.unlink(document)
+    return pid
+
+sys.addaudithook(hook)
+os.fork = fork
+from dynamap.__main__ import main
+code = main()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+with open(probe, "w") as fh:
+    json.dump({"read_here": bool(opened), "child_left": left}, fh)
+sys.exit(code)
+"""
+
+
+def _edited(raw: bytes, case: str) -> bytes:
+    """``raw`` with its first ``[re, im]`` pair edited for ``case``."""
+    start = raw.index(b'"data":[[[') + 9
+    end = raw.index(b"]", start) + 1
+    re_text = raw[start + 1:raw.index(b",", start)]
+    pair = {"whitespace": b"[%s, 0]" % re_text, "overflow": b"[1e400,0]",
+            "short_row": b"[%s]" % re_text}[case]
+    return raw[:start] + pair + raw[end:]
+
+
+@pytest.mark.parametrize("case,argv", [
+    ("regular", ["decompose"]),
+    ("regular", ["verify", "--variant", "literal"]),
+    ("regular", ["verify", "--variant", "symmetric"]),
+    ("whitespace", ["decompose"]),  # irregular: the helper sends nothing
+    ("overflow", ["decompose"]),  # the helper sends a matrix holding inf
+    ("short_row", ["decompose"]),
+    ("missing", ["decompose"]),
+    ("vanishing", ["decompose"]),  # gone when the helper reads it
+    ("nowait", ["decompose"]),  # a regular document, SIGCHLD ignored
+])
+def test_large_document_child_reports_as_in_process_main(capsys, tmp_path, large_choi, case,
+                                                         argv):
+    path = tmp_path / "doc.json"
+    argv = [argv[0], str(path), *argv[1:]]
+    if case in ("whitespace", "overflow", "short_row"):
+        path.write_bytes(_edited(large_choi.read_bytes(), case))
+    elif case in ("regular", "nowait"):
+        path.write_bytes(large_choi.read_bytes())
+    want = run_cli(capsys, *argv)  # in process, numpy loaded: never a helper
+    if case == "vanishing":
+        path.write_bytes(large_choi.read_bytes())
+    probe = tmp_path / "probe.json"
+    child = subprocess.run(
+        [sys.executable, "-c", _PROBED_CLI, str(probe), case, *argv], capture_output=True,
+        text=True, timeout=120)
+    assert (child.returncode, child.stdout, child.stderr) == want
+    assert json.loads(probe.read_text()) == {"read_here": case not in ("regular", "nowait"),
+                                             "child_left": False}
+    if case in ("overflow", "short_row"):
+        assert want[0] == 1 and want[2].startswith("error: invalid input: $.data[0][0]")
+
+
+def test_a_bad_tolerance_flag_is_judged_before_the_document_is_read(large_choi):
+    child = subprocess.run([sys.executable, "-X", "importtime", "-m", "dynamap", "decompose",
+                            str(large_choi), "--tol-eig", "2"], capture_output=True, text=True)
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()
+              if line.startswith("import time:")}
+    rest = [line for line in child.stderr.splitlines() if not line.startswith("import time:")]
+    assert (child.returncode, child.stdout) == (1, "")
+    assert rest == ["error: invalid input: --tol-eig: zero_eig_rel must be in (0, 1), got 2.0"]
+    # no numpy, and no helper: its module is imported only to fork one
+    assert "dynamap.cli" in loaded and not loaded & {"numpy", "dynamap.docio", "dynamap.compact"}
+
+
 _BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 _JOINT_IDLE = ("numpy.random", "dynamap.cpsplit", "dynamap.extension", "dynamap.dilation",
                "dynamap.generators", "dynamap.channels")
@@ -663,11 +777,17 @@ _JOINT_IDLE = ("numpy.random", "dynamap.cpsplit", "dynamap.extension", "dynamap.
                                                 "dynamap.channels")),
     ("verify", "transpose_choi.json", ("numpy.random", "dynamap.dilation",
                                        "dynamap.entangled", "dynamap.channels")),
+    # parsed by a helper while the child imports the layers of its command
+    ("decompose", "large_choi", ("numpy.random", "dynamap.dilation", "dynamap.entangled",
+                                 "dynamap.channels")),
+    ("verify", "large_choi", ("numpy.random", "dynamap.dilation", "dynamap.entangled",
+                              "dynamap.channels")),
 ])
-def test_subcommand_child_loads_only_the_layers_it_uses(command, name, idle):
+def test_subcommand_child_loads_only_the_layers_it_uses(request, command, name, idle):
     # -X importtime names every module the child imports, on stderr
+    path = request.getfixturevalue(name) if name == "large_choi" else fix(name)
     child = subprocess.run([sys.executable, "-X", "importtime", "-m", "dynamap", command,
-                            fix(name)], capture_output=True, text=True)
+                            str(path)], capture_output=True, text=True)
     assert child.returncode == 0
     loaded = {line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()
               if line.startswith("import time:")}

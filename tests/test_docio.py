@@ -307,11 +307,19 @@ def test_compact_matrix_parse_is_bitwise_the_full_parse(kind):
     assert isinstance(got, dict) and got == _full_path_outcome(raw) == _reference_outcome(raw)
 
 
-@pytest.mark.parametrize("extra", [0, 2 ** 63 + 1], ids=["int64", "above_2_63"])
-def test_compact_integer_matrix_is_converted_like_the_full_parse(extra):
+def _integer_pairs(extra):
     data = [[[i - j, (i * j) % 3] for j in range(4)] for i in range(4)]
     data[2][1][1] = extra
-    raw = _compact(_matrix_doc(data=data))
+    return data
+
+
+# each integer is converted as float() converts it, also in a row of integers
+# above 2**63 alone, which numpy would hold as uint64
+@pytest.mark.parametrize("data", [_integer_pairs(0), _integer_pairs(2 ** 63 + 1),
+                                  [[[2 ** 63 + 1, 2 ** 64 - 1]]]],
+                         ids=["int64", "above_2_63", "above_2_63_alone"])
+def test_compact_integer_matrix_is_converted_like_the_full_parse(data):
+    raw = _compact(_matrix_doc(dim=round(len(data) ** 0.5), data=data))
     assert docio._matrix_document(raw) is not None
     assert _outcome(raw) == _full_path_outcome(raw) == _reference_outcome(raw)
 
@@ -357,8 +365,6 @@ _FALLBACKS = {
         (_compact(_matrix_doc(data=_corrupt(_edge_pairs((4, 4)), (0, 1), [1, 2, 3]))), False),
     "overflow_float": (_compact(_matrix_doc(data=_corrupt(_edge_pairs((4, 4)), (3, 0, 1), "@0")),
                                 ("1e400",)), False),
-    # numpy holds integers above 2**63 alone as uint64, among others as float64
-    "integer_above_2_63": (_compact(_matrix_doc(data=[[[2 ** 63 + 1, 2 ** 64 - 1]]], dim=1)), True),
     "huge_integer": (_compact(_matrix_doc(data=[[[10 ** 400, 0]]], dim=1)), False),
     "not_json_number": (b'{"kind":"choi","dim":1,"data":[[[01,0]]]}', False),
     "empty_number": (b'{"kind":"choi","dim":1,"data":[[[,0]]]}', False),

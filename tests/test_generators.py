@@ -50,6 +50,15 @@ def test_seeded_normals_are_box_muller_pairs_of_the_standard_library_stream():
     got = np.concatenate([source.standard_normal((1, 3)).ravel(), source.standard_normal(1)])
     assert np.allclose(got, [*want[:3], want[4]], rtol=1e-15, atol=0.0)
     assert source.standard_normal(0).shape == (0,)
+    # bit for bit the transform of a loop of random() calls, which it leaves
+    # the stream after
+    uniform, source = random.Random(11).random, SeededNormals(11)
+    for size in (0, 1, 3, 512):
+        uniforms = np.array([uniform() for _ in range(size + size % 2)])
+        u, v = uniforms.reshape(-1, 2).T
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v
+        loop = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).ravel()[:size]
+        assert np.array_equal(source.standard_normal(size), loop)
 
 
 def test_seeded_normals_have_standard_moments():
